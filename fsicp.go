@@ -559,9 +559,10 @@ func addBackendPasses(m *driver.Manager, semProg **sem.Program) **icp.Context {
 		mb     *modref.Builder
 		ictx   *icp.Context
 	)
-	// Lowering fans out per procedure; the serial Finish epilogue hands
-	// out the dense program-wide variable and call-site IDs in
-	// procedure order, reproducing exactly the serial numbering.
+	// Lowering fans out per procedure (variables are numbered per
+	// procedure); the serial Finish epilogue hands out the dense
+	// program-wide call-site IDs in procedure order, reproducing exactly
+	// the serial numbering.
 	m.Add(driver.Pass{Name: "irbuild", Deps: []string{"sem"},
 		Run: func(st *driver.PassStats) error {
 			pb = irbuild.NewBuilder(*semProg)

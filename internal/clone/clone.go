@@ -159,10 +159,8 @@ func cloneProcedure(prog *ir.Program, orig *sem.Proc, n int) *sem.Proc {
 		Prog:    prog.Sem,
 	}
 	vmap := make(map[*sem.Var]*sem.Var)
-	for i, f := range orig.Params {
-		nf := &sem.Var{Name: f.Name, Kind: sem.KindFormal, Type: f.Type, Index: i, Owner: np, Pos: f.Pos, ID: prog.Sem.NewVarID()}
-		np.Params = append(np.Params, nf)
-		vmap[f] = nf
+	for _, f := range orig.Params {
+		vmap[f] = np.NewParam(f.Name, f.Type, f.Pos)
 	}
 	for g := range orig.UsesSet {
 		np.UsesSet[g] = true
@@ -211,8 +209,8 @@ func cloneProcedure(prog *ir.Program, orig *sem.Proc, n int) *sem.Proc {
 		}
 	}
 	ir.RebuildCFG(nfn)
-	// Track the same variables the original did (formals, locals,
-	// globals), in a stable order.
+	// Track the same variables the original did (formals, locals, and
+	// the globals its body, MOD∪REF and MayDef name), in a stable order.
 	for _, v := range ofn.AllVars {
 		nfn.RegisterVar(mapVar(v))
 	}

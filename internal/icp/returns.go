@@ -105,7 +105,7 @@ func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard
 				ret = lattice.BottomElem() // never returns: nothing to propagate
 			}
 			returns[i] = ret
-			exits[i] = exitEnv(ctx, p, r)
+			exits[i] = exitEnv(p, r)
 		})
 	})
 
@@ -184,16 +184,17 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 	return acc
 }
 
-// exitEnv extracts the constant exit values of p's formals and the
-// globals from its final fixpoint.
-func exitEnv(ctx *Context, p *sem.Proc, r *scc.Result) lattice.Env[*sem.Var] {
+// exitEnv extracts the constant exit values of p's formals and tracked
+// globals from its final fixpoint. Untracked globals are left out (⊥):
+// they are outside MOD(p), and callExitValue reads only MOD(p).
+func exitEnv(p *sem.Proc, r *scc.Result) lattice.Env[*sem.Var] {
 	exit := make(lattice.Env[*sem.Var])
 	for _, f := range p.Params {
 		if e := r.ExitValue(f); e.IsConst() {
 			exit[f] = e
 		}
 	}
-	for _, g := range ctx.Prog.Sem.Globals {
+	for _, g := range r.S.Fn.Globals() {
 		if e := r.ExitValue(g); e.IsConst() {
 			exit[g] = e
 		}

@@ -69,7 +69,7 @@ func Call(prog *ir.Program, caller *ir.Func, call *ir.CallInstr) error {
 	}
 
 	// Variable mapping: formals -> actuals or fresh copies; locals ->
-	// fresh clones; globals -> themselves.
+	// fresh clones; globals -> themselves, now tracked by the caller.
 	vmap := make(map[*sem.Var]*sem.Var)
 	var preCopies []ir.Instr
 	for i, f := range call.Callee.Params {
@@ -89,6 +89,7 @@ func Call(prog *ir.Program, caller *ir.Func, call *ir.CallInstr) error {
 			return nil
 		}
 		if v.IsGlobal() {
+			caller.RegisterVar(v)
 			return v
 		}
 		if m, ok := vmap[v]; ok {

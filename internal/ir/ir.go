@@ -17,6 +17,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -50,22 +51,22 @@ type Func struct {
 	Calls  []*CallInstr
 
 	// AllVars lists every variable the analyses track in this
-	// procedure: formals, locals and temporaries, then every program
-	// global (globals participate whether or not they are visible here,
-	// because constants flow through a procedure to its callees even
-	// when invisible — the paper's VIS vs FS distinction).
+	// procedure: its formals, locals and temporaries, and the globals
+	// in its MOD∪REF — plus any other global its body or a call's
+	// MayDef names. The IR builder registers the procedure's own
+	// variables and the globals its body names; modref registers the
+	// rest once MOD/REF is known. A global outside that set is ⊥ at the
+	// procedure's entry (entry environments bind only REF) and never
+	// defined here, so tracking it could not change a fact.
 	AllVars []*sem.Var
-	// varOrd maps a variable's dense program-wide ID (sem.Var.ID) to
-	// 1+its position in AllVars; 0 means "not tracked here". A slice
-	// lookup replaces the former map[*sem.Var]int on the SSA-rename and
-	// exit-value hot paths. The dense slice covers IDs below
-	// VarOrdSpillID only; the rare higher IDs live in varOrdSparse —
-	// without the split, every function's table would grow to the whole
-	// program's ID space, and on a 10k-procedure corpus that per-function
-	// O(program) footprint multiplies into O(procedures × program) bytes
-	// (gigabytes of zeroed int32, dominated by clearing time).
-	varOrd       []int32
-	varOrdSparse map[int32]int32
+	// ownOrd maps an owned variable's slot (sem.Var.Slot) to 1+its
+	// position in AllVars; 0 means "not tracked here".
+	ownOrd []int32
+	// globals lists the tracked globals sorted by global index, and
+	// globalOrd[k] is globals[k]'s position in AllVars. Both are sized
+	// by the procedure's MOD∪REF, not by the program.
+	globals   []*sem.Var
+	globalOrd []int32
 
 	// NumInstrs is the instruction count of the last NumberInstrs pass
 	// (0 before the first numbering).
@@ -546,57 +547,81 @@ func RebuildCallLists(prog *Program) {
 	}
 }
 
-// VarOrdSpillID is the variable ID at which a function's varOrd table
-// switches from the dense slice to the sparse map. IDs are assigned in
-// declaration order, so globals and the first few hundred procedures'
-// variables — the IDs every function looks up — stay dense (the slice
-// tops out at 64 KiB per function), while a 100k-ID corpus costs each
-// function only a small map holding its own high-ID locals.
-const VarOrdSpillID = 1 << 14
-
 // RegisterVar adds a variable to the function's tracked set if absent.
+// v must be a global or a variable of f's own procedure.
 func (f *Func) RegisterVar(v *sem.Var) {
-	if v.ID <= 0 {
-		panic("ir: variable " + v.Name + " has no dense ID (not created through sem)")
-	}
-	if v.ID >= VarOrdSpillID {
-		if f.varOrdSparse[int32(v.ID)] != 0 {
-			return
-		}
-		if f.varOrdSparse == nil {
-			f.varOrdSparse = make(map[int32]int32)
-		}
-		f.varOrdSparse[int32(v.ID)] = int32(len(f.AllVars)) + 1
-		f.AllVars = append(f.AllVars, v)
+	if v.IsGlobal() {
+		f.RegisterGlobals([]*sem.Var{v})
 		return
 	}
-	if v.ID < len(f.varOrd) && f.varOrd[v.ID] != 0 {
+	if v.Owner != f.Proc {
+		panic("ir: variable " + v.String() + " does not belong to " + f.Proc.Name)
+	}
+	if v.Slot < len(f.ownOrd) && f.ownOrd[v.Slot] != 0 {
 		return
 	}
-	for v.ID >= len(f.varOrd) {
-		f.varOrd = append(f.varOrd, make([]int32, v.ID+1-len(f.varOrd))...)
+	if v.Slot >= len(f.ownOrd) {
+		f.ownOrd = append(f.ownOrd, make([]int32, max(v.Slot+1, f.Proc.NumSlots())-len(f.ownOrd))...)
 	}
-	f.varOrd[v.ID] = int32(len(f.AllVars)) + 1
+	f.ownOrd[v.Slot] = int32(len(f.AllVars)) + 1
 	f.AllVars = append(f.AllVars, v)
 }
 
 // VarOrd returns the variable's position in AllVars, or -1 when the
-// function does not track it. The lookup is a slice index on the
-// variable's dense program-wide ID — this sits on the SSA-rename hot
-// path, where it replaces a pointer-keyed map lookup. Variables whose
-// ID spilled past VarOrdSpillID pay a map lookup instead; a function's
-// own high-ID locals are the only spilled IDs it ever asks about.
+// function does not track it. Owned variables cost one slice index by
+// slot; globals a binary search of the procedure's few tracked globals.
 func (f *Func) VarOrd(v *sem.Var) int {
-	if v == nil || v.ID <= 0 {
+	if v == nil {
 		return -1
 	}
-	if v.ID >= VarOrdSpillID {
-		return int(f.varOrdSparse[int32(v.ID)]) - 1
-	}
-	if v.ID >= len(f.varOrd) {
+	if v.IsGlobal() {
+		if k := f.GlobalPos(v); k >= 0 {
+			return int(f.globalOrd[k])
+		}
 		return -1
 	}
-	return int(f.varOrd[v.ID]) - 1
+	if v.Owner != f.Proc || v.Slot >= len(f.ownOrd) {
+		return -1
+	}
+	return int(f.ownOrd[v.Slot]) - 1
+}
+
+// RegisterGlobals adds every global of gs — sorted by global index,
+// without repeats — that the function does not track yet, appending
+// them to AllVars in that order. One merge pass rebuilds the
+// tracked-global index, so registering a procedure's MOD∪REF costs a
+// fixed number of allocations rather than one per global.
+func (f *Func) RegisterGlobals(gs []*sem.Var) {
+	merged := make([]*sem.Var, 0, len(f.globals)+len(gs))
+	ords := make([]int32, 0, cap(merged))
+	i := 0
+	for _, g := range gs {
+		for i < len(f.globals) && f.globals[i].Index < g.Index {
+			merged, ords = append(merged, f.globals[i]), append(ords, f.globalOrd[i])
+			i++
+		}
+		if i < len(f.globals) && f.globals[i] == g {
+			continue // tracked already; copied by the next merge step
+		}
+		merged, ords = append(merged, g), append(ords, int32(len(f.AllVars)))
+		f.AllVars = append(f.AllVars, g)
+	}
+	f.globals = append(merged, f.globals[i:]...)
+	f.globalOrd = append(ords, f.globalOrd[i:]...)
+}
+
+// Globals returns the tracked globals sorted by global index. The
+// slice is shared; callers must not modify it.
+func (f *Func) Globals() []*sem.Var { return f.globals }
+
+// GlobalPos returns g's position in Globals, or -1 when g is not
+// tracked.
+func (f *Func) GlobalPos(g *sem.Var) int {
+	k, ok := slices.BinarySearchFunc(f.globals, g.Index, func(x *sem.Var, i int) int { return x.Index - i })
+	if !ok {
+		return -1
+	}
+	return k
 }
 
 // CloneInstr deep-copies one instruction, mapping every variable

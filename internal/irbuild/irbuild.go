@@ -19,6 +19,7 @@ package irbuild
 
 import (
 	"fmt"
+	"slices"
 
 	"fsicp/internal/ast"
 	"fsicp/internal/ir"
@@ -40,12 +41,11 @@ func Build(p *sem.Program) (*ir.Program, error) {
 
 // A Builder is an in-flight lowering whose per-procedure work can be
 // fanned across goroutines: BuildProc(i) lowers procedure i touching
-// only that procedure's state (temporaries are created with deferred
-// IDs so the shared program counter is never written), and Finish is
-// the serial epilogue that assigns the dense program-wide variable and
-// call-site numbering in procedure order — reproducing exactly the IDs
-// serial lowering hands out, so results are byte-identical at every
-// worker count.
+// only that procedure's state (temporaries draw per-procedure slots,
+// so no shared counter is written), and Finish is the serial epilogue
+// that assigns the dense program-wide call-site numbering in procedure
+// order — reproducing exactly the numbering serial lowering hands out,
+// so results are byte-identical at every worker count.
 type Builder struct {
 	sem   *sem.Program
 	funcs []*ir.Func
@@ -65,7 +65,8 @@ func NewBuilder(p *sem.Program) *Builder {
 func (pb *Builder) NumProcs() int { return len(pb.sem.Procs) }
 
 // BuildProc lowers procedure i, including its per-function instruction
-// numbering. Safe to call concurrently for distinct i.
+// numbering and variable registration. Safe to call concurrently for
+// distinct i.
 func (pb *Builder) BuildProc(i int) {
 	b := &builder{sem: pb.sem}
 	f, err := b.buildFunc(pb.sem.Procs[i])
@@ -74,26 +75,25 @@ func (pb *Builder) BuildProc(i int) {
 		return
 	}
 	f.NumberInstrs()
+	b.registerVars()
 	pb.funcs[i] = f
 }
 
-// Finish assembles the program: deferred variable IDs, dense call-site
-// numbering, per-function variable registration, and the Funcs/FuncOf
-// tables, all in procedure order. Returns the error of the lowest
-// failed procedure (the one serial lowering would have stopped at).
+// Finish assembles the program: dense call-site numbering and the
+// Funcs/FuncOf tables, in procedure order. Returns the error of the
+// lowest failed procedure (the one serial lowering would have stopped
+// at).
 func (pb *Builder) Finish() (*ir.Program, error) {
 	for _, err := range pb.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	pb.sem.AssignDeferredVarIDs()
 	prog := &ir.Program{
 		Sem:    pb.sem,
 		FuncOf: make(map[*sem.Proc]*ir.Func, len(pb.funcs)),
 	}
 	for _, f := range pb.funcs {
-		pb.collectVars(f)
 		for _, ci := range f.Calls {
 			ci.ID = len(prog.CallSites)
 			prog.CallSites = append(prog.CallSites, ci)
@@ -104,16 +104,21 @@ func (pb *Builder) Finish() (*ir.Program, error) {
 	return prog, nil
 }
 
-func (pb *Builder) collectVars(f *ir.Func) {
+// registerVars tracks the procedure's own variables, in slot order,
+// then the globals its body names, by global index. The rest of its
+// MOD∪REF globals are registered by modref, once they are known.
+func (b *builder) registerVars() {
+	f := b.fn
+	slices.SortFunc(b.globals, func(x, y *sem.Var) int { return x.Index - y.Index })
+	b.globals = slices.Compact(b.globals)
+	f.AllVars = make([]*sem.Var, 0, f.Proc.NumSlots()+len(b.globals))
 	for _, v := range f.Proc.Params {
 		f.RegisterVar(v)
 	}
 	for _, v := range f.Proc.Locals {
 		f.RegisterVar(v)
 	}
-	for _, g := range pb.sem.Globals {
-		f.RegisterVar(g)
-	}
+	f.RegisterGlobals(b.globals)
 }
 
 type loopCtx struct {
@@ -122,11 +127,12 @@ type loopCtx struct {
 }
 
 type builder struct {
-	sem   *sem.Program
-	fn    *ir.Func
-	cur   *ir.Block
-	loops []loopCtx
-	err   error
+	sem     *sem.Program
+	fn      *ir.Func
+	cur     *ir.Block
+	loops   []loopCtx
+	err     error
+	globals []*sem.Var // globals the body names, with repeats
 }
 
 func (b *builder) buildFunc(proc *sem.Proc) (*ir.Func, error) {
@@ -138,7 +144,7 @@ func (b *builder) buildFunc(proc *sem.Proc) (*ir.Func, error) {
 		if proc.IsFunc {
 			// Falling off the end of a func returns the zero value of
 			// its result type (the interpreter matches this).
-			t := proc.NewTempDeferred(proc.Result)
+			t := proc.NewTemp(proc.Result)
 			b.emit(&ir.ConstInstr{Dst: t, Val: val.Zero(proc.Result)})
 			b.cur.SetTerm(&ir.Ret{Val: t})
 		} else {
@@ -189,6 +195,9 @@ func (b *builder) varOf(id *ast.Ident) *sem.Var {
 	v := b.sem.Info.Refs[id]
 	if v == nil {
 		panic("irbuild: unresolved identifier " + id.Name)
+	}
+	if v.IsGlobal() {
+		b.globals = append(b.globals, v)
 	}
 	return v
 }
@@ -353,10 +362,8 @@ func stripParens(e ast.Expr) ast.Expr {
 	}
 }
 
-// newTemp creates a compiler temporary with a deferred program ID so
-// concurrent BuildProc calls never race on the shared variable counter;
-// Builder.Finish assigns the dense IDs serially.
-func (b *builder) newTemp(t ast.Type) *sem.Var { return b.fn.Proc.NewTempDeferred(t) }
+// newTemp creates a compiler temporary of the procedure being lowered.
+func (b *builder) newTemp(t ast.Type) *sem.Var { return b.fn.Proc.NewTemp(t) }
 
 // expr lowers e and returns the variable holding its value.
 func (b *builder) expr(e ast.Expr) *sem.Var {

@@ -269,23 +269,3 @@ proc b() {}`)
 		}
 	}
 }
-
-func TestAllVarsIncludeGlobals(t *testing.T) {
-	p := testutil.MustBuild(t, `program p
-global g1 int = 1
-global g2 real
-proc main() { }
-proc q(a int) { print a }`)
-	for _, name := range []string{"main", "q"} {
-		f := testutil.FuncByName(t, p, name)
-		found := 0
-		for _, v := range f.AllVars {
-			if v.IsGlobal() {
-				found++
-			}
-		}
-		if found != 2 {
-			t.Errorf("%s tracks %d globals, want 2", name, found)
-		}
-	}
-}

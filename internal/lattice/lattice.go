@@ -170,7 +170,7 @@ var EnvSpillThreshold = 64
 //
 // Slots in [0, spill) are backed by flat slices; slots in [spill, n)
 // spill to an overflow map allocated on first bind. The split mirrors
-// the ir.Func.varOrd / bitset.Auto pattern: the dense core covers the
+// the bitset.Auto pattern: the dense core covers the
 // procedure-local ordinals that are actually touched, the sparse tail
 // keeps the environment from costing O(program) per procedure. Every
 // operation is representation-independent, so a fully dense and a

@@ -15,6 +15,7 @@ package modref
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -180,7 +181,43 @@ func (b *Builder) Finish() *Info {
 	}
 
 	fillMayDef(prog, cg, al, info)
+	registerGlobals(prog, cg, info)
 	return info
+}
+
+// registerGlobals adds to every reachable procedure's tracked variables
+// the globals in its MOD∪REF and in its calls' MayDef, by global index.
+// Together with the globals the IR builder registered (those the body
+// names) these are all the globals the procedure's SSA must see: the
+// entry environment binds only REF, and only MOD and MayDef define.
+func registerGlobals(prog *ir.Program, cg *callgraph.Graph, info *Info) {
+	// seen[g.Index] == i+1 marks g as collected for the i-th procedure,
+	// so the per-procedure list needs no clearing and holds no repeats.
+	seen := make([]int32, len(prog.Sem.Globals))
+	var gs []*sem.Var
+	for i, p := range cg.Reachable {
+		gs = gs[:0]
+		add := func(v *sem.Var) {
+			if v.IsGlobal() && seen[v.Index] != int32(i+1) {
+				seen[v.Index] = int32(i + 1)
+				gs = append(gs, v)
+			}
+		}
+		for v := range info.Mod[p] {
+			add(v)
+		}
+		for v := range info.Ref[p] {
+			add(v)
+		}
+		fn := prog.FuncOf[p]
+		for _, call := range fn.Calls {
+			for _, v := range call.MayDef {
+				add(v)
+			}
+		}
+		slices.SortFunc(gs, func(x, y *sem.Var) int { return x.Index - y.Index })
+		fn.RegisterGlobals(gs)
+	}
 }
 
 func copySet(s Set) Set {

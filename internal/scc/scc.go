@@ -425,12 +425,16 @@ func (r *Result) ArgValue(call *ir.CallInstr, i int) lattice.Elem {
 }
 
 // GlobalValueAtCall returns the lattice value of global g immediately
-// before the call, or ⊤ if the call is unreachable.
+// before the call, ⊤ if the call is unreachable, or ⊥ if the procedure
+// does not track g (see ExitValue).
 func (r *Result) GlobalValueAtCall(call *ir.CallInstr, g *sem.Var) lattice.Elem {
 	if !r.Reachable(call) {
 		return lattice.TopElem()
 	}
-	return r.Values[r.S.GlobalAtCall(call, g).ID]
+	if d := r.S.GlobalAtCall(call, g); d != nil {
+		return r.Values[d.ID]
+	}
+	return lattice.BottomElem()
 }
 
 // ReturnValue returns the meet of all executable return values (⊤ if no
@@ -448,17 +452,16 @@ func (r *Result) ReturnValue() lattice.Elem {
 	return acc
 }
 
-// VarValueAtEntry returns the entry value the fixpoint settled on for a
-// formal or global.
-func (r *Result) VarValueAtEntry(v *sem.Var) lattice.Elem {
-	return r.Values[r.S.EntryDef(v).ID]
-}
-
 // ExitValue returns the meet of v's value over all executable return
 // points — the value v holds when the procedure returns (⊤ if the
-// procedure never returns, e.g. infinite loop or unreachable).
+// procedure never returns, e.g. infinite loop or unreachable). It is ⊥
+// for a variable the procedure does not track: a global outside its
+// MOD∪REF is ⊥ at its entry and never defined in it.
 func (r *Result) ExitValue(v *sem.Var) lattice.Elem {
 	vi := r.S.Fn.VarOrd(v)
+	if vi < 0 {
+		return lattice.BottomElem()
+	}
 	acc := lattice.TopElem()
 	for bi, snap := range r.S.RetSnapshots {
 		if snap == nil || !r.BlockExec[bi] {

@@ -11,12 +11,15 @@
 // how interprocedural kills become visible to the intraprocedural
 // propagator.
 //
-// Every variable has an implicit entry definition (formal parameter,
-// global at procedure entry, or undefined local); the entry definitions
-// of formals and globals are the injection points for interprocedural
-// constants. For each call site the renamer snapshots the reaching
-// definition of every global, which the flow-sensitive ICP uses to read
-// "the value of global g at this call site".
+// Every tracked variable (ir.Func.AllVars: the procedure's own
+// variables and the globals in its MOD∪REF) has an implicit entry
+// definition (formal parameter, global at procedure entry, or undefined
+// local); the entry definitions of formals and globals are the
+// injection points for interprocedural constants. For each call site
+// the renamer snapshots the reaching definition of every tracked
+// global, which the flow-sensitive ICP uses to read "the value of
+// global g at this call site" — the callee's REF is a subset of the
+// caller's, so every global a call site is asked about is tracked.
 package ssa
 
 import (
@@ -116,9 +119,9 @@ type SSA struct {
 	// b.Term.Uses()[k].
 	TermUses [][]*Definition
 
-	// globalsAtCall[call.InstrID()] holds, per program-global index,
-	// the reaching definition of that global immediately before the
-	// call; read it through GlobalAtCall/GlobalsAt.
+	// globalsAtCall[call.InstrID()] holds, per tracked global (indexed
+	// like Fn.Globals()), the reaching definition of that global
+	// immediately before the call; read it through GlobalAtCall.
 	globalsAtCall [][]*Definition
 
 	// RetSnapshots[b.Index], for a block ending in a Ret, holds the
@@ -131,13 +134,10 @@ type SSA struct {
 	// Defs is every Definition, indexed by ID.
 	Defs []*Definition
 
-	globalOffset int // index of first global in Fn.AllVars
-	numGlobals   int
-
-	// defArena chunk-allocates Definitions so building one procedure's
-	// overlay costs a handful of allocations rather than one per
-	// definition. Definitions escape into the overlay (Defs, tables),
-	// so the chunks live exactly as long as the SSA itself.
+	// defArena holds every Definition in one exactly sized allocation
+	// rather than one per definition. Definitions escape into the
+	// overlay (Defs, tables), so the arena lives exactly as long as the
+	// SSA itself.
 	defArena []Definition
 	// defBacking is sliced out to the per-instruction use/def tables;
 	// one backing array replaces two small slice allocations per
@@ -168,28 +168,15 @@ func Build(fn *ir.Func) *SSA {
 	s.TermUses = make([][]*Definition, len(fn.Blocks))
 	s.RetSnapshots = make([][]*Definition, len(fn.Blocks))
 
-	nglobals := 0
-	offset := -1
-	for i, v := range fn.AllVars {
-		if v.IsGlobal() {
-			if offset < 0 {
-				offset = i
-			}
-			nglobals++
-		}
-	}
-	if offset < 0 {
-		offset = len(fn.AllVars)
-	}
-	s.globalOffset = offset
-	s.numGlobals = nglobals
-
-	// Size the definition arena and the pointer backing array from one
-	// pre-pass. The arena holds Definitions (entry defs + instruction
-	// defs; φs grow it chunk-wise), the backing array holds the
-	// per-instruction def/use pointer tables. Both may still grow, they
-	// just start close to the final size.
-	defSlots := len(fn.AllVars) // entry defs
+	// Place φs first, so the definition arena can be sized exactly:
+	// entry defs + instruction defs + φ defs. The pointer backing array
+	// holds the per-instruction def/use tables, the per-call global
+	// snapshots and the per-return variable snapshots; counting them
+	// over every block (rename visits only the reachable ones) bounds
+	// it from above.
+	phis := s.placePhis()
+	nglobals := len(fn.Globals())
+	defSlots := len(fn.AllVars) + len(phis)
 	ptrSlots := 0
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
@@ -211,44 +198,30 @@ func Build(fn *ir.Func) *SSA {
 	s.defBacking = make([]*Definition, 0, ptrSlots)
 	s.Defs = make([]*Definition, 0, defSlots)
 
-	s.placePhis()
+	for _, phi := range phis {
+		phi.Def = s.newDef(phi.Var, DefPhi)
+		phi.Def.Phi = phi
+		phi.Def.Block = phi.Block
+	}
 	s.rename()
 	s.defBacking = nil
 	return s
 }
 
+// newDef appends a definition to the arena. Build sizes the arena
+// exactly, so the append never moves it.
 func (s *SSA) newDef(v *sem.Var, kind DefKind) *Definition {
-	if len(s.defArena) == cap(s.defArena) {
-		// The pre-sized chunk ran out (φ definitions are not counted up
-		// front); start a fresh chunk, leaving full ones reachable via
-		// the pointers already handed out. Chunks are sized from the
-		// function (an eighth of the up-front definition estimate)
-		// rather than a compile-time constant, so giant merged-corpus
-		// functions grow in a few large steps instead of hundreds of
-		// fixed-size ones, without doubling the whole arena.
-		chunk := len(s.Defs) / 8
-		if chunk < 256 {
-			chunk = 256
-		}
-		s.defArena = make([]Definition, 0, chunk)
-	}
 	s.defArena = append(s.defArena, Definition{ID: len(s.Defs), Var: v, Kind: kind})
 	d := &s.defArena[len(s.defArena)-1]
 	s.Defs = append(s.Defs, d)
 	return d
 }
 
-// slice carves a fresh n-slot slice out of the shared backing array.
+// slice carves a fresh n-slot slice out of the shared backing array,
+// which Build sizes for every table rename fills.
 func (s *SSA) slice(n int) []*Definition {
 	if n == 0 {
 		return nil
-	}
-	if len(s.defBacking)+n > cap(s.defBacking) {
-		chunk := len(s.Defs) / 8 // grow with the function, as in newDef
-		if chunk < 256 {
-			chunk = 256
-		}
-		s.defBacking = make([]*Definition, 0, max(chunk, n))
 	}
 	off := len(s.defBacking)
 	s.defBacking = s.defBacking[:off+n]
@@ -275,22 +248,12 @@ func (s *SSA) DefsOf(in ir.Instr) []*Definition {
 	return s.instrDefs[id]
 }
 
-// GlobalsAt returns the per-global reaching definitions immediately
-// before call (indexed by global offset), or nil when the function
-// tracks no globals.
-func (s *SSA) GlobalsAt(call *ir.CallInstr) []*Definition {
-	id := call.InstrID()
-	if id < 0 || id >= len(s.globalsAtCall) {
-		return nil
-	}
-	return s.globalsAtCall[id]
-}
-
-// placePhis inserts φ-functions using iterated dominance frontiers.
+// placePhis inserts φ-functions using iterated dominance frontiers and
+// returns them in placement order; Build gives them their definitions.
 // The placed-φ and worklist membership sets are bitsets keyed by
 // block*nvars+var and block index — the dense layout replaces two
 // maps rebuilt for every procedure.
-func (s *SSA) placePhis() {
+func (s *SSA) placePhis() []*Phi {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
 	nblocks := len(fn.Blocks)
@@ -310,6 +273,7 @@ func (s *SSA) placePhis() {
 	hasPhi := bitset.NewAuto(nblocks * nvars)
 	inWork := bitset.New(nblocks)
 	var work []*ir.Block
+	var placed []*Phi
 	for vi := 0; vi < nvars; vi++ {
 		work = append(work[:0], defBlocks[vi]...)
 		// Every variable also has its entry definition in the entry
@@ -326,24 +290,23 @@ func (s *SSA) placePhis() {
 				if !hasPhi.Add(f.Index*nvars + vi) {
 					continue
 				}
-				v := fn.AllVars[vi]
-				phi := &Phi{Var: v, Block: f, Args: make([]*Definition, len(f.Preds))}
-				phi.Def = s.newDef(v, DefPhi)
-				phi.Def.Phi = phi
-				phi.Def.Block = f
+				phi := &Phi{Var: fn.AllVars[vi], Block: f, Args: make([]*Definition, len(f.Preds))}
 				s.Phis[f.Index] = append(s.Phis[f.Index], phi)
+				placed = append(placed, phi)
 				if inWork.Add(f.Index) {
 					work = append(work, f)
 				}
 			}
 		}
 	}
+	return placed
 }
 
 // rename walks the dominator tree assigning reaching definitions.
 func (s *SSA) rename() {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
+	globals := fn.Globals()
 	stacks := make([][]*Definition, nvars)
 
 	s.EntryDefs = make([]*Definition, nvars)
@@ -381,10 +344,10 @@ func (s *SSA) rename() {
 			}
 			s.useDefs[id] = uds
 
-			if _, ok := in.(*ir.CallInstr); ok && s.numGlobals > 0 {
-				snap := s.slice(s.numGlobals)
-				for gi := 0; gi < s.numGlobals; gi++ {
-					snap[gi] = top(fn.AllVars[s.globalOffset+gi])
+			if _, ok := in.(*ir.CallInstr); ok {
+				snap := s.slice(len(globals))
+				for k, g := range globals {
+					snap[k] = top(g)
 				}
 				s.globalsAtCall[id] = snap
 			}
@@ -446,29 +409,21 @@ func predIndex(b *ir.Block, pred *ir.Block) int {
 	panic("ssa: predecessor not found")
 }
 
-// EntryDef returns the entry definition of v.
+// EntryDef returns the entry definition of v, which the function must
+// track.
 func (s *SSA) EntryDef(v *sem.Var) *Definition {
 	return s.EntryDefs[s.Fn.VarOrd(v)]
 }
 
 // GlobalAtCall returns the reaching definition of global g just before
-// call. g must be a global registered in Fn.AllVars.
+// call, or nil when the function does not track g or the call is not
+// part of this overlay.
 func (s *SSA) GlobalAtCall(call *ir.CallInstr, g *sem.Var) *Definition {
-	gi := s.Fn.VarOrd(g) - s.globalOffset
-	return s.GlobalsAt(call)[gi]
-}
-
-// NumGlobals returns how many globals the function tracks.
-func (s *SSA) NumGlobals() int { return s.numGlobals }
-
-// GlobalByOffset returns the gi-th tracked global.
-func (s *SSA) GlobalByOffset(gi int) *sem.Var {
-	return s.Fn.AllVars[s.globalOffset+gi]
-}
-
-// GlobalOffsetOf returns the offset of global g in call snapshots.
-func (s *SSA) GlobalOffsetOf(g *sem.Var) int {
-	return s.Fn.VarOrd(g) - s.globalOffset
+	id, k := call.InstrID(), s.Fn.GlobalPos(g)
+	if id < 0 || id >= len(s.globalsAtCall) || k < 0 {
+		return nil
+	}
+	return s.globalsAtCall[id][k]
 }
 
 // Dump renders the SSA overlay for debugging.

@@ -3,6 +3,7 @@ package ssa_test
 import (
 	"testing"
 
+	"fsicp/internal/icp"
 	"fsicp/internal/ir"
 	"fsicp/internal/sem"
 	"fsicp/internal/ssa"
@@ -173,6 +174,8 @@ proc f(a int) {
 }
 
 func TestGlobalsAtCallSnapshot(t *testing.T) {
+	// main names only g, but tracks h too once modref adds REF(f) —
+	// the globals a call-site snapshot must cover.
 	p := testutil.MustBuild(t, `program p
 global g int = 1
 global h int = 2
@@ -181,7 +184,11 @@ proc main() {
   g = 42
   call f()
 }
-proc f() {}`)
+proc f() {
+  use h
+  print h
+}`)
+	icp.Prepare(p)
 	f := testutil.FuncByName(t, p, "main")
 	s := ssa.Build(f)
 	call := f.Calls[0]

@@ -48,12 +48,19 @@ func FuncByName(t testing.TB, p *ir.Program, name string) *ir.Func {
 	return p.FuncOf[proc]
 }
 
-// VarByName finds a variable (formal, local, or global) visible in f.
+// VarByName finds a variable f tracks (formal, local, or global) by
+// name, falling back to the program's globals: f tracks only the
+// globals its body names until modref adds the rest of its MOD∪REF.
 func VarByName(t testing.TB, f *ir.Func, name string) *sem.Var {
 	t.Helper()
 	for _, v := range f.AllVars {
 		if v.Name == name {
 			return v
+		}
+	}
+	for _, g := range f.Proc.Prog.Globals {
+		if g.Name == name {
+			return g
 		}
 	}
 	t.Fatalf("no variable %q in %s", name, f.Proc.Name)

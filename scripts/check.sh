@@ -18,6 +18,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== benchmark module =="
+# perfbench is its own Go module (it imports this one through a replace
+# directive), so ./... above never compiles it; build, vet and test it
+# here, against the tree being checked.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race =="
 # -short skips the corpus-scale tests (10k procedures; 2k at four
 # worker counts) — they run without the race detector in the
