@@ -20,7 +20,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt race
+# The full gate: the same stages CI runs (build, vet, gofmt, the
+# benchmark module, race tests, fault matrix, warm-cache, spill/delta
+# determinism, large corpus, allocation gate).
+check:
+	./scripts/check.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

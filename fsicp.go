@@ -876,11 +876,9 @@ func (a *Analysis) Constants() []Constant {
 				out = append(out, Constant{Proc: p.Name, Var: f.Name, Value: v.String(), Kind: "formal"})
 			}
 		}
-		for _, g := range a.prog.ctx.Prog.Sem.Globals {
-			if v, ok := a.res.EntryConstant(p, g); ok && a.prog.ctx.MR.DRef[p].Has(g) {
-				out = append(out, Constant{Proc: p.Name, Var: g.Name, Value: v.String(), Kind: "global"})
-			}
-		}
+		a.res.EntryGlobals(p, func(g *sem.Var, v val.Value) {
+			out = append(out, Constant{Proc: p.Name, Var: g.Name, Value: v.String(), Kind: "global"})
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Proc != out[j].Proc {
@@ -1014,11 +1012,9 @@ func (a *Analysis) AnnotatedListing() string {
 				facts = append(facts, f.Name+" = "+v.String())
 			}
 		}
-		for _, g := range ctx.Prog.Sem.Globals {
-			if v, ok := a.res.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
-				facts = append(facts, g.Name+" = "+v.String())
-			}
-		}
+		a.res.EntryGlobals(p, func(g *sem.Var, v val.Value) {
+			facts = append(facts, g.Name+" = "+v.String())
+		})
 		if len(facts) > 0 {
 			fmt.Fprintf(&b, "  # entry constants: %s\n", strings.Join(facts, ", "))
 		}
@@ -1397,7 +1393,7 @@ func (p *Program) AnalyzeJumpFunctionsWithReturns(kind JumpFunctionKind) *JumpAn
 // upward-exposed-use computation; one reverse traversal, REF on back
 // edges).
 func (p *Program) Use() map[string][]string {
-	var use map[*sem.Proc]modref.Set
+	var use map[*sem.Proc]*modref.Set
 	p.trace.Time("use", func(st *driver.PassStats) {
 		use = icp.ComputeUse(p.ctx)
 		st.Procs = len(p.ctx.CG.Reachable)

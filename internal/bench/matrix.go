@@ -8,7 +8,9 @@ import (
 	"fsicp/internal/icp"
 	"fsicp/internal/incr"
 	"fsicp/internal/jumpfunc"
+	"fsicp/internal/sem"
 	"fsicp/internal/store"
+	"fsicp/internal/val"
 )
 
 // MatrixEntry is one method's outcome in a method matrix: its name, the
@@ -143,11 +145,7 @@ func icpRunner(ctx *icp.Context, opts icp.Options) func() (int, int) {
 			nf := len(res.ConstantFormals(p))
 			formals += nf
 			entries += nf
-			for _, g := range ctx.Prog.Sem.Globals {
-				if _, ok := res.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
-					entries++
-				}
-			}
+			res.EntryGlobals(p, func(*sem.Var, val.Value) { entries++ })
 		}
 		return formals, entries
 	}

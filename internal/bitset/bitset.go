@@ -6,6 +6,8 @@
 // designed around.
 package bitset
 
+import "math/bits"
+
 // Set is a fixed-capacity bit set. The zero value is an empty set of
 // capacity 0; use New (or Reset) to size it.
 type Set []uint64
@@ -33,6 +35,38 @@ func (s Set) Add(i int) bool {
 	}
 	s[w] |= m
 	return true
+}
+
+// Union ORs t into s word by word and reports whether s changed. t
+// must not be longer than s.
+func (s Set) Union(t Set) bool {
+	changed := false
+	for i, w := range t {
+		if s[i]|w != s[i] {
+			s[i] |= w
+			changed = true
+		}
+	}
+	return changed
+}
+
+// Count returns the number of set bits.
+func (s Set) Count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Each calls fn for every set bit, in increasing order.
+func (s Set) Each(fn func(i int)) {
+	for wi, w := range s {
+		for w != 0 {
+			fn(wi<<6 | bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
 }
 
 // Clear unsets every bit, keeping the capacity.

@@ -26,6 +26,33 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
+func TestSetUnionCountEach(t *testing.T) {
+	s, u := New(200), New(200)
+	for _, i := range []int{3, 64, 199} {
+		s.Add(i)
+	}
+	for _, i := range []int{0, 64, 130} {
+		u.Add(i)
+	}
+	if !s.Union(u) || s.Union(u) {
+		t.Fatal("Union must report a change only when a bit is new")
+	}
+	if s.Count() != 5 {
+		t.Fatalf("Count = %d, want 5", s.Count())
+	}
+	var got []int
+	s.Each(func(i int) { got = append(got, i) })
+	want := []int{0, 3, 64, 130, 199}
+	if len(got) != len(want) {
+		t.Fatalf("Each = %v, want %v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("Each = %v, want %v", got, want)
+		}
+	}
+}
+
 // TestAutoMatchesDense drives the sparse representation through the
 // same operation sequence as a dense set and requires identical
 // answers — the spill must change memory layout only.

@@ -360,6 +360,21 @@ func (r *Result) EntryConstant(p *sem.Proc, v *sem.Var) (val.Value, bool) {
 	return val.Value{}, false
 }
 
+// EntryGlobals calls fn, in declaration order, for every global in
+// DREF(p) — the globals p's own body references — that holds a
+// constant at p's entry. It walks DREF's members instead of probing
+// every program global.
+func (r *Result) EntryGlobals(p *sem.Proc, fn func(g *sem.Var, v val.Value)) {
+	r.Ctx.MR.DRef[p].Each(func(g *sem.Var) {
+		if !g.IsGlobal() {
+			return
+		}
+		if v, ok := r.EntryConstant(p, g); ok {
+			fn(g, v)
+		}
+	})
+}
+
 // ConstantFormals returns p's formals that hold interprocedural
 // constants at entry.
 func (r *Result) ConstantFormals(p *sem.Proc) []*sem.Var {

@@ -68,7 +68,6 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	}
 
 	workers := driver.Workers(opts.Workers)
-	rt := newRefTab(ctx, workers)
 
 	var ist *incrState
 	if opts.Incr != nil {
@@ -165,7 +164,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					degraded[i] = true
 					fb := g.ensureFI(ctx, opts)
 					entry[i] = fb.entryEnvFor(p)
-					sums[i] = degradedSummary(ctx, rt, p, fb)
+					sums[i] = degradedSummary(ctx, p, fb)
 					intra[i] = nil
 					changed.Store(true)
 					markCallees(p)
@@ -192,7 +191,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 						}
 						physRuns.Add(1)
 						r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-						sums[i] = summarize(ctx, rt, p, r, !live, 0, pe)
+						sums[i] = summarize(ctx, p, r, !live, 0, pe)
 						if opts.DropIntra {
 							r.Release()
 							intra[i] = nil
@@ -204,7 +203,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					}
 					physRuns.Add(1)
 					r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-					sums[i] = summarize(ctx, rt, p, r, !live, 0, pe)
+					sums[i] = summarize(ctx, p, r, !live, 0, pe)
 					if opts.DropIntra {
 						r.Release()
 						intra[i] = nil
@@ -238,7 +237,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 				}
 				degraded[i] = true
 				entry[i] = fb.entryEnvFor(p)
-				sums[i] = degradedSummary(ctx, rt, p, fb)
+				sums[i] = degradedSummary(ctx, p, fb)
 				intra[i] = nil
 				g.record(resilience.Degradation{Proc: p.Name, Pass: "FS-iterative", Reason: reason, Detail: detail})
 			}

@@ -32,7 +32,7 @@ import (
 // reaches the caller — and every such callee sits in an earlier reverse
 // level, behind the barrier, so the parallel schedule reads exactly
 // what the serial one reads.
-func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, rt *refTab, st *driver.PassStats) {
+func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, st *driver.PassStats) {
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
 	cg := ctx.CG
@@ -136,7 +136,7 @@ func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard
 			// unchanged by this traversal, and the shared result maps
 			// deliberately keep the FS-stage argument values).
 			old := res.Proc[p]
-			ns := summarize(ctx, rt, p, intra[i], old.Dead, old.BackEdges, old.Entry)
+			ns := summarize(ctx, p, intra[i], old.Dead, old.BackEdges, old.Entry)
 			ns.Degraded = old.Degraded
 			res.Proc[p] = ns
 			resummed[i] = true
@@ -149,7 +149,7 @@ func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard
 	}
 
 	if opts.ReturnsRefresh {
-		refreshForward(ctx, opts, res, pool, g, rt, resummed)
+		refreshForward(ctx, opts, res, pool, g, resummed)
 	}
 }
 
@@ -225,7 +225,7 @@ func exitEnv(p *sem.Proc, r *scc.Result) lattice.Env[*sem.Var] {
 // trivial. Most procedures in practice call nothing, or call only
 // constant-free helpers, so the skip removes the bulk of the third
 // traversal's scc runs; FSICP_NO_DELTA_SKIP=1 forces the full re-run.
-func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, rt *refTab, resummed []bool) {
+func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, resummed []bool) {
 	cg := ctx.CG
 	n := len(cg.Reachable)
 	if n == 0 {
@@ -289,7 +289,7 @@ func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *g
 					return
 				}
 				r := scc.Run(pool.get(i), scc.Options{Entry: env, CallResult: callResult, CallExit: callExit, Budget: g.budget(), Transient: opts.DropIntra})
-				sums[i] = summarize(ctx, rt, p, r, !live, nBack, portableEnv(env))
+				sums[i] = summarize(ctx, p, r, !live, nBack, portableEnv(env))
 				if opts.DropIntra {
 					r.Release()
 				} else {

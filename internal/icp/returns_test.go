@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fsicp/internal/icp"
+	"fsicp/internal/sem"
 	"fsicp/internal/testutil"
 )
 
@@ -215,9 +216,9 @@ proc f(a int) {
 	use := icp.ComputeUse(ctx)
 	f := prog.Sem.ProcByName["f"]
 	names := map[string]bool{}
-	for v := range use[f] {
+	use[f].Each(func(v *sem.Var) {
 		names[v.Name] = true
-	}
+	})
 	// g is written before read: not upward-exposed. h and a are.
 	if names["g"] {
 		t.Errorf("g must not be in USE(f): %v", names)
@@ -229,9 +230,9 @@ proc f(a int) {
 	// temp; only h flows up (g is defined-before-use only inside f, but
 	// at main's call, f USEs h → h ∈ USE(main)).
 	mnames := map[string]bool{}
-	for v := range use[prog.Sem.Main] {
+	use[prog.Sem.Main].Each(func(v *sem.Var) {
 		mnames[v.Name] = true
-	}
+	})
 	if !mnames["h"] {
 		t.Errorf("h must be in USE(main): %v", mnames)
 	}
@@ -256,11 +257,11 @@ proc main() {
 	use := icp.ComputeUse(ctx)
 	// g is defined on only one path before the print: upward-exposed.
 	found := false
-	for v := range use[prog.Sem.Main] {
+	use[prog.Sem.Main].Each(func(v *sem.Var) {
 		if v.Name == "g" {
 			found = true
 		}
-	}
+	})
 	if !found {
 		t.Error("g must be upward-exposed (defined on only one path)")
 	}
@@ -280,11 +281,11 @@ proc r(n int) {
 	ctx := icp.Prepare(prog)
 	use := icp.ComputeUse(ctx)
 	found := false
-	for v := range use[prog.Sem.ProcByName["r"]] {
+	use[prog.Sem.ProcByName["r"]].Each(func(v *sem.Var) {
 		if v.Name == "g" {
 			found = true
 		}
-	}
+	})
 	if !found {
 		t.Error("g must be in USE(r)")
 	}

@@ -109,10 +109,8 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 			for i, f := range p.Params {
 				de.MeetInto(f, fi.EdgeArg(e.Site, i))
 			}
-			for g := range mr.Ref[p] {
-				if g.IsGlobal() {
-					de.MeetInto(g, fi.GlobalElem(g))
-				}
+			for _, gi := range mr.RefGlobals(p) {
+				de.MeetInto(globals[gi], fi.GlobalElem(globals[gi]))
 			}
 		}
 	}

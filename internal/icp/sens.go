@@ -57,7 +57,6 @@ func runFS(ctx *Context, opts Options) *Result {
 	res.ProgramGlobalConstants = programGlobalConstants(ctx, opts)
 
 	workers := driver.Workers(opts.Workers)
-	rt := newRefTab(ctx, workers)
 
 	// Incremental plan: fingerprint the program, diff against the
 	// previous snapshot, and install clean procedures' summaries
@@ -120,7 +119,7 @@ func runFS(ctx *Context, opts Options) *Result {
 				fb := g.ensureFI(ctx, opts)
 				envs[i] = fb.entryEnvFor(p)
 				intra[i] = nil
-				sums[i] = degradedSummary(ctx, rt, p, fb)
+				sums[i] = degradedSummary(ctx, p, fb)
 			}, func() {
 				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
 				envs[i] = env
@@ -136,7 +135,7 @@ func runFS(ctx *Context, opts Options) *Result {
 						return
 					}
 					r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-					sums[i] = summarize(ctx, rt, p, r, !live, nBack, pe)
+					sums[i] = summarize(ctx, p, r, !live, nBack, pe)
 					if opts.DropIntra {
 						r.Release()
 					} else {
@@ -148,7 +147,7 @@ func runFS(ctx *Context, opts Options) *Result {
 
 				// The single flow-sensitive intraprocedural analysis of p.
 				r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-				sums[i] = summarize(ctx, rt, p, r, !live, nBack, portableEnv(env))
+				sums[i] = summarize(ctx, p, r, !live, nBack, portableEnv(env))
 				if opts.DropIntra {
 					r.Release()
 				} else {
@@ -163,7 +162,7 @@ func runFS(ctx *Context, opts Options) *Result {
 				if sums[i] == nil {
 					fb := g.ensureFI(ctx, opts)
 					envs[i] = fb.entryEnvFor(p)
-					sums[i] = degradedSummary(ctx, rt, p, fb)
+					sums[i] = degradedSummary(ctx, p, fb)
 					g.record(resilience.Degradation{Proc: p.Name, Pass: "FS", Reason: reason, Detail: detail})
 				}
 			}
@@ -208,7 +207,7 @@ func runFS(ctx *Context, opts Options) *Result {
 
 	if opts.ReturnConstants {
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			runReturns(ctx, opts, res, pool, g, rt, st)
+			runReturns(ctx, opts, res, pool, g, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns") + g.passCount("returns-refresh")
 		})

@@ -17,8 +17,8 @@ import (
 // part is a forward must-be-defined dataflow over p's CFG; at calls,
 // the callee's USE (or REF on back edges) injects uses, and the call's
 // MayDef does not count as a definition (it is only a may-def).
-func ComputeUse(ctx *Context) map[*sem.Proc]modref.Set {
-	use := make(map[*sem.Proc]modref.Set)
+func ComputeUse(ctx *Context) map[*sem.Proc]*modref.Set {
+	use := make(map[*sem.Proc]*modref.Set)
 	cg := ctx.CG
 	for i := len(cg.Reachable) - 1; i >= 0; i-- {
 		p := cg.Reachable[i]
@@ -30,7 +30,7 @@ func ComputeUse(ctx *Context) map[*sem.Proc]modref.Set {
 // calleeUses returns the variables of caller frame used via one call:
 // globals in the callee's USE set and by-ref actuals whose formals are
 // in it.
-func calleeUses(ctx *Context, call *ir.CallInstr, use map[*sem.Proc]modref.Set) []*sem.Var {
+func calleeUses(ctx *Context, call *ir.CallInstr, use map[*sem.Proc]*modref.Set) []*sem.Var {
 	callee := call.Callee
 	set := use[callee]
 	if set == nil {
@@ -38,26 +38,23 @@ func calleeUses(ctx *Context, call *ir.CallInstr, use map[*sem.Proc]modref.Set) 
 		set = ctx.MR.Ref[callee]
 	}
 	var out []*sem.Var
-	for v := range set {
+	set.Each(func(v *sem.Var) {
 		if v.IsGlobal() {
 			out = append(out, v)
-			continue
+			return
 		}
-		if v.Kind == sem.KindFormal && v.Owner == callee && v.Index < len(call.ByRef) {
+		if v.Index < len(call.ByRef) {
 			if a := call.ByRef[v.Index]; a != nil {
 				out = append(out, a)
 			}
 		}
-	}
+	})
 	return out
 }
 
 // procUse runs the intraprocedural upward-exposed-use analysis of p.
-func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set {
+func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]*modref.Set) *modref.Set {
 	fn := ctx.Prog.FuncOf[p]
-	track := func(v *sem.Var) bool {
-		return (v.Kind == sem.KindFormal && v.Owner == p) || v.IsGlobal()
-	}
 
 	blocks := fn.ReachableBlocks()
 	n := len(fn.Blocks)
@@ -72,7 +69,9 @@ func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set
 		mustOut[b.Index] = nil // nil = "not computed yet" (⊤, all vars)
 	}
 
-	result := make(modref.Set)
+	// USE(p) ranges over p's formals and the globals: the Set drops
+	// every other variable.
+	result := modref.NewSet(p)
 
 	// transfer walks one block: collects upward-exposed uses given the
 	// must-defined set at block entry, and returns the must-defined set
@@ -83,8 +82,8 @@ func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set
 			defined[v] = true
 		}
 		seeUse := func(v *sem.Var) {
-			if record && track(v) && !defined[v] {
-				result[v] = true
+			if record && !defined[v] {
+				result.Add(v)
 			}
 		}
 		for _, instr := range b.Instrs {

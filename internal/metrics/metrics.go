@@ -21,6 +21,7 @@ import (
 	"fsicp/internal/icp"
 	"fsicp/internal/jumpfunc"
 	"fsicp/internal/sem"
+	"fsicp/internal/val"
 )
 
 // CallSite is a Table 1 / Table 3 row for one method.
@@ -105,11 +106,7 @@ func EntryMetrics(r *icp.Result) Entry {
 	for _, p := range ctx.CG.Reachable {
 		m.Formals += len(p.Params)
 		m.ConstFormals += len(r.ConstantFormals(p))
-		for _, g := range ctx.Prog.Sem.Globals {
-			if _, ok := r.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
-				m.GlobalEntries++
-			}
-		}
+		r.EntryGlobals(p, func(*sem.Var, val.Value) { m.GlobalEntries++ })
 	}
 	return m
 }

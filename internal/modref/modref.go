@@ -20,52 +20,120 @@ import (
 	"strings"
 
 	"fsicp/internal/alias"
+	"fsicp/internal/bitset"
 	"fsicp/internal/callgraph"
 	"fsicp/internal/ir"
 	"fsicp/internal/sem"
 )
 
-// Set is a set of variables (formals of one procedure and globals).
-type Set map[*sem.Var]bool
-
-// Has reports membership.
-func (s Set) Has(v *sem.Var) bool { return s[v] }
-
-// Add inserts v, reporting whether it was new.
-func (s Set) Add(v *sem.Var) bool {
-	if s[v] {
-		return false
-	}
-	s[v] = true
-	return true
+// Set is a set of variables in one procedure's MOD/REF domain: the
+// program's globals and the owner's formals. It is dense — one bit per
+// global by Var.Index and one per formal by position — so membership is
+// a word probe and the fixpoint unions sets a machine word at a time.
+// Locals, temporaries, other procedures' formals and other programs'
+// globals are never members.
+type Set struct {
+	owner   *sem.Proc
+	vars    []*sem.Var // owner.Prog.Globals
+	globals bitset.Set // bit g.Index per member global
+	formals bitset.Set // bit f.Index per member formal of owner
 }
 
-// Sorted returns the members in a stable order.
-func (s Set) Sorted() []*sem.Var {
-	out := make([]*sem.Var, 0, len(s))
-	for v := range s {
-		out = append(out, v)
+// NewSet returns an empty set over owner's domain.
+func NewSet(owner *sem.Proc) *Set {
+	s := &Set{}
+	s.init(owner, make(bitset.Set, setWords(owner)))
+	return s
+}
+
+// setWords is the number of words a set over p's domain occupies.
+func setWords(p *sem.Proc) int {
+	return (len(p.Prog.Globals)+63)/64 + (len(p.Params)+63)/64
+}
+
+// init makes s an empty set over owner's domain backed by words, which
+// must hold setWords(owner) zeroed words.
+func (s *Set) init(owner *sem.Proc, words []uint64) {
+	gw := (len(owner.Prog.Globals) + 63) / 64
+	s.owner, s.vars = owner, owner.Prog.Globals
+	s.globals, s.formals = words[:gw:gw], words[gw:]
+}
+
+// Has reports membership. A nil set is empty.
+func (s *Set) Has(v *sem.Var) bool {
+	if s == nil {
+		return false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind > out[j].Kind // globals after formals
-		}
-		if out[i].Index != out[j].Index {
-			return out[i].Index < out[j].Index
-		}
-		return out[i].String() < out[j].String()
-	})
+	switch v.Kind {
+	case sem.KindGlobal:
+		return v.Index < len(s.vars) && s.vars[v.Index] == v && s.globals.Has(v.Index)
+	case sem.KindFormal:
+		return v.Owner == s.owner && s.formals.Has(v.Index)
+	}
+	return false
+}
+
+// Add inserts v, reporting whether it was new. A variable outside the
+// domain is not inserted.
+func (s *Set) Add(v *sem.Var) bool {
+	switch v.Kind {
+	case sem.KindGlobal:
+		return v.Index < len(s.vars) && s.vars[v.Index] == v && s.globals.Add(v.Index)
+	case sem.KindFormal:
+		return v.Owner == s.owner && s.formals.Add(v.Index)
+	}
+	return false
+}
+
+// Len returns the number of members. A nil set is empty.
+func (s *Set) Len() int {
+	if s == nil {
+		return 0
+	}
+	return s.globals.Count() + s.formals.Count()
+}
+
+// Each calls fn for every member: globals by index, then formals by
+// position.
+func (s *Set) Each(fn func(v *sem.Var)) {
+	if s == nil {
+		return
+	}
+	s.globals.Each(func(i int) { fn(s.vars[i]) })
+	s.formals.Each(func(i int) { fn(s.owner.Params[i]) })
+}
+
+// Sorted returns the members in Each's order: globals by index, then
+// formals by position.
+func (s *Set) Sorted() []*sem.Var {
+	out := make([]*sem.Var, 0, s.Len())
+	s.Each(func(v *sem.Var) { out = append(out, v) })
 	return out
 }
 
 // Info holds the MOD/REF solution.
 type Info struct {
 	// Mod[p] and Ref[p] are the interprocedural (transitive) sets.
-	Mod map[*sem.Proc]Set
-	Ref map[*sem.Proc]Set
+	Mod map[*sem.Proc]*Set
+	Ref map[*sem.Proc]*Set
 	// DMod[p] and DRef[p] are the immediate (intraprocedural) sets.
-	DMod map[*sem.Proc]Set
-	DRef map[*sem.Proc]Set
+	DMod map[*sem.Proc]*Set
+	DRef map[*sem.Proc]*Set
+
+	pos        map[*sem.Proc]int // reachable position, as callgraph.Graph.Pos
+	refGlobals [][]int32         // by reachable position
+}
+
+// RefGlobals returns the declaration indices of the globals in REF(p),
+// ascending — the paper's sparse per-call-site global candidate list
+// for a call to p. Each procedure has its own slice; callers must not
+// modify it. It is nil for an unreachable p.
+func (i *Info) RefGlobals(p *sem.Proc) []int32 {
+	k, ok := i.pos[p]
+	if !ok {
+		return nil
+	}
+	return i.refGlobals[k]
 }
 
 // Compute runs the MOD/REF fixpoint over the reachable PCG and then
@@ -88,18 +156,35 @@ type Builder struct {
 	prog *ir.Program
 	cg   *callgraph.Graph
 	al   *alias.Info
-	dmod []Set // indexed by reachable position; written by CollectProc
-	dref []Set
+	// The four set families, indexed by reachable position and backed
+	// by one word array; CollectProc writes dmod[i] and dref[i].
+	dmod, dref, mod, ref []Set
 }
 
 // Begin prepares the sharded MOD/REF computation.
 func Begin(prog *ir.Program, cg *callgraph.Graph, al *alias.Info) *Builder {
+	n := len(cg.Reachable)
+	total := 0
+	for _, p := range cg.Reachable {
+		total += setWords(p)
+	}
+	words := make([]uint64, 4*total)
+	sets := make([]Set, 4*n)
+	for k := 0; k < 4; k++ {
+		for i, p := range cg.Reachable {
+			w := setWords(p)
+			sets[k*n+i].init(p, words[:w:w])
+			words = words[w:]
+		}
+	}
 	return &Builder{
 		prog: prog,
 		cg:   cg,
 		al:   al,
-		dmod: make([]Set, len(cg.Reachable)),
-		dref: make([]Set, len(cg.Reachable)),
+		dmod: sets[:n:n],
+		dref: sets[n : 2*n : 2*n],
+		mod:  sets[2*n : 3*n : 3*n],
+		ref:  sets[3*n:],
 	}
 }
 
@@ -109,24 +194,28 @@ func (b *Builder) NumProcs() int { return len(b.cg.Reachable) }
 // CollectProc collects the immediate MOD/REF of the i-th reachable
 // procedure. Safe to call concurrently for distinct i.
 func (b *Builder) CollectProc(i int) {
-	b.dmod[i], b.dref[i] = immediate(b.prog.FuncOf[b.cg.Reachable[i]])
+	immediate(b.prog.FuncOf[b.cg.Reachable[i]], &b.dmod[i], &b.dref[i])
 }
 
 // Finish installs the collected immediate sets and runs the serial
 // interprocedural fixpoint plus the MayDef fill.
 func (b *Builder) Finish() *Info {
 	prog, cg, al := b.prog, b.cg, b.al
+	n := len(cg.Reachable)
 	info := &Info{
-		Mod:  make(map[*sem.Proc]Set),
-		Ref:  make(map[*sem.Proc]Set),
-		DMod: make(map[*sem.Proc]Set),
-		DRef: make(map[*sem.Proc]Set),
+		Mod:  make(map[*sem.Proc]*Set, n),
+		Ref:  make(map[*sem.Proc]*Set, n),
+		DMod: make(map[*sem.Proc]*Set, n),
+		DRef: make(map[*sem.Proc]*Set, n),
+		pos:  cg.Pos,
 	}
 	for i, p := range cg.Reachable {
-		dm, dr := b.dmod[i], b.dref[i]
-		info.DMod[p], info.DRef[p] = dm, dr
-		info.Mod[p] = copySet(dm)
-		info.Ref[p] = copySet(dr)
+		copy(b.mod[i].globals, b.dmod[i].globals)
+		copy(b.mod[i].formals, b.dmod[i].formals)
+		copy(b.ref[i].globals, b.dref[i].globals)
+		copy(b.ref[i].formals, b.dref[i].formals)
+		info.DMod[p], info.DRef[p] = &b.dmod[i], &b.dref[i]
+		info.Mod[p], info.Ref[p] = &b.mod[i], &b.ref[i]
 	}
 
 	// Worklist fixpoint over call edges, with alias closure folded in.
@@ -138,18 +227,18 @@ func (b *Builder) Finish() *Info {
 	// repeat-all-edges sweep this is the classic worklist form — on a
 	// 10k-procedure corpus with deep call chains, the sweep reprocessed
 	// every edge once per chain level, which turned the front end's
-	// MOD/REF pass quadratic.
-	index := make(map[*sem.Proc]int, len(cg.Reachable))
-	for i, p := range cg.Reachable {
-		index[p] = i
-	}
-	intoCaller := make([][]int, len(cg.Reachable)) // callee index → edge indices
+	// MOD/REF pass quadratic. Globals flow through an edge as a word-wise
+	// OR of the callee's set into the caller's; only formal bits need
+	// mapping, through the site's by-ref actuals.
+	intoCaller := make([][]int32, n) // callee position → edge indices
+	callerPos := make([]int32, len(cg.Edges))
 	for ei, e := range cg.Edges {
-		ci := index[e.Callee]
-		intoCaller[ci] = append(intoCaller[ci], ei)
+		ci := cg.Pos[e.Callee]
+		intoCaller[ci] = append(intoCaller[ci], int32(ei))
+		callerPos[ei] = int32(cg.Pos[e.Caller])
 	}
-	queued := make([]bool, len(cg.Reachable))
-	queue := make([]int, 0, len(cg.Reachable))
+	queued := make([]bool, n)
+	queue := make([]int, 0, n)
 	enqueue := func(i int) {
 		if !queued[i] {
 			queued[i] = true
@@ -163,26 +252,43 @@ func (b *Builder) Finish() *Info {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		queued[i] = false
-		p := cg.Reachable[i]
-		if al != nil {
-			closeUnderAliases(info.Mod[p], al, p)
-			closeUnderAliases(info.Ref[p], al, p)
+		if p := cg.Reachable[i]; al != nil && al.HasAliases(p) {
+			closeUnderAliases(&b.mod[i], al, p)
+			closeUnderAliases(&b.ref[i], al, p)
 		}
 		for _, ei := range intoCaller[i] {
-			e := cg.Edges[ei]
-			changed := propagate(info.Mod, e.Caller, e.Callee, e.Site)
-			if propagate(info.Ref, e.Caller, e.Callee, e.Site) {
+			ci := int(callerPos[ei])
+			site := cg.Edges[ei].Site
+			changed := propagate(&b.mod[ci], &b.mod[i], site)
+			if propagate(&b.ref[ci], &b.ref[i], site) {
 				changed = true
 			}
 			if changed {
-				enqueue(index[e.Caller])
+				enqueue(ci)
 			}
 		}
 	}
 
 	fillMayDef(prog, cg, al, info)
-	registerGlobals(prog, cg, info)
+	registerGlobals(prog, cg, b.mod, b.ref)
+	info.refGlobals = make([][]int32, n)
+	for i := range b.ref {
+		info.refGlobals[i] = globalIndices(b.ref[i].globals)
+	}
 	return info
+}
+
+// globalIndices lists the set bits of s ascending, in a slice of its
+// own (nil when s is empty): cached summaries alias these lists, so
+// they must not pin a program-wide backing array.
+func globalIndices(s bitset.Set) []int32 {
+	c := s.Count()
+	if c == 0 {
+		return nil
+	}
+	out := make([]int32, 0, c)
+	s.Each(func(i int) { out = append(out, int32(i)) })
+	return out
 }
 
 // registerGlobals adds to every reachable procedure's tracked variables
@@ -190,149 +296,117 @@ func (b *Builder) Finish() *Info {
 // Together with the globals the IR builder registered (those the body
 // names) these are all the globals the procedure's SSA must see: the
 // entry environment binds only REF, and only MOD and MayDef define.
-func registerGlobals(prog *ir.Program, cg *callgraph.Graph, info *Info) {
-	// seen[g.Index] == i+1 marks g as collected for the i-th procedure,
-	// so the per-procedure list needs no clearing and holds no repeats.
-	seen := make([]int32, len(prog.Sem.Globals))
+func registerGlobals(prog *ir.Program, cg *callgraph.Graph, mod, ref []Set) {
+	globals := prog.Sem.Globals
+	union := bitset.New(len(globals))
 	var gs []*sem.Var
 	for i, p := range cg.Reachable {
-		gs = gs[:0]
-		add := func(v *sem.Var) {
-			if v.IsGlobal() && seen[v.Index] != int32(i+1) {
-				seen[v.Index] = int32(i + 1)
-				gs = append(gs, v)
-			}
-		}
-		for v := range info.Mod[p] {
-			add(v)
-		}
-		for v := range info.Ref[p] {
-			add(v)
-		}
+		copy(union, mod[i].globals)
+		union.Union(ref[i].globals)
 		fn := prog.FuncOf[p]
 		for _, call := range fn.Calls {
 			for _, v := range call.MayDef {
-				add(v)
+				if v.IsGlobal() {
+					union.Add(v.Index)
+				}
 			}
 		}
-		slices.SortFunc(gs, func(x, y *sem.Var) int { return x.Index - y.Index })
+		gs = gs[:0]
+		union.Each(func(g int) { gs = append(gs, globals[g]) })
 		fn.RegisterGlobals(gs)
 	}
 }
 
-func copySet(s Set) Set {
-	out := make(Set, len(s))
-	for v := range s {
-		out[v] = true
-	}
-	return out
-}
-
-// immediate collects the direct MOD/REF of one procedure from its IR.
-// Call-site argument uses are excluded here: by-value actuals are
-// temporaries whose computation already referenced the underlying
-// variables, and by-ref actuals only count as referenced/modified when
-// the callee's formal is (handled by the fixpoint).
-func immediate(fn *ir.Func) (dmod, dref Set) {
-	dmod, dref = make(Set), make(Set)
-	track := func(v *sem.Var) bool {
-		return v.Kind == sem.KindFormal || v.Kind == sem.KindGlobal
-	}
+// immediate collects the direct MOD/REF of one procedure from its IR
+// into the empty sets dmod and dref. Call-site argument uses are
+// excluded here: by-value actuals are temporaries whose computation
+// already referenced the underlying variables, and by-ref actuals only
+// count as referenced/modified when the callee's formal is (handled by
+// the fixpoint).
+func immediate(fn *ir.Func, dmod, dref *Set) {
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			if call, ok := in.(*ir.CallInstr); ok {
-				if call.Dst != nil && track(call.Dst) {
-					dmod[call.Dst] = true
+				if call.Dst != nil {
+					dmod.Add(call.Dst)
 				}
 				continue
 			}
 			for _, v := range in.Defs() {
-				if track(v) {
-					dmod[v] = true
-				}
+				dmod.Add(v)
 			}
 			for _, v := range in.Uses() {
-				if track(v) {
-					dref[v] = true
-				}
+				dref.Add(v)
 			}
 		}
 		if b.Term != nil {
 			for _, v := range b.Term.Uses() {
-				if track(v) {
-					dref[v] = true
-				}
+				dref.Add(v)
 			}
 		}
 	}
-	return dmod, dref
 }
 
 // propagate maps callee effects back through one call edge: globals
 // carry over directly; formal effects carry to by-ref actuals that are
 // formals or globals of the caller.
-func propagate(sets map[*sem.Proc]Set, caller, callee *sem.Proc, call *ir.CallInstr) bool {
-	changed := false
-	cs, ps := sets[callee], sets[caller]
-	for v := range cs {
-		if v.IsGlobal() {
-			if ps.Add(v) {
+func propagate(caller, callee *Set, call *ir.CallInstr) bool {
+	changed := caller.globals.Union(callee.globals)
+	callee.formals.Each(func(k int) {
+		if k < len(call.ByRef) {
+			if a := call.ByRef[k]; a != nil && caller.Add(a) {
 				changed = true
 			}
-			continue
 		}
-		if v.Kind == sem.KindFormal && v.Owner == callee && v.Index < len(call.ByRef) {
-			if a := call.ByRef[v.Index]; a != nil {
-				if a.Kind == sem.KindFormal || a.IsGlobal() {
-					if ps.Add(a) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
+	})
 	return changed
 }
 
-func closeUnderAliases(s Set, al *alias.Info, p *sem.Proc) bool {
-	changed := false
-	var queue []*sem.Var
-	for v := range s {
-		queue = append(queue, v)
-	}
+func closeUnderAliases(s *Set, al *alias.Info, p *sem.Proc) {
+	queue := s.Sorted()
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, w := range al.Partners(p, v) {
 			if s.Add(w) {
-				changed = true
 				queue = append(queue, w)
 			}
 		}
 	}
-	return changed
 }
 
 // fillMayDef records, on every reachable call instruction, the caller
 // variables the call may modify: by-ref actuals bound to modified
 // formals, modified globals, and the alias partners of both.
 func fillMayDef(prog *ir.Program, cg *callgraph.Graph, al *alias.Info, info *Info) {
-	for _, e := range cg.Edges {
+	// stamp[g.Index] == ei+1 marks global g as listed for edge ei, so
+	// globals need no per-edge set; the few non-globals (by-ref actuals
+	// and their partners) are checked against the list itself.
+	stamp := make([]int32, len(prog.Sem.Globals))
+	for ei, e := range cg.Edges {
 		call, callee, caller := e.Site, e.Callee, e.Caller
-		seen := make(map[*sem.Var]bool)
+		mod := info.Mod[callee]
+		mark := int32(ei + 1)
 		var out []*sem.Var
 		add := func(v *sem.Var) {
-			if v == nil || seen[v] || v == call.Dst {
+			if v == nil || v == call.Dst {
 				return
 			}
-			seen[v] = true
+			if v.IsGlobal() {
+				if stamp[v.Index] == mark {
+					return
+				}
+				stamp[v.Index] = mark
+			} else if slices.Contains(out, v) {
+				return
+			}
 			out = append(out, v)
 		}
 		for i, a := range call.ByRef {
 			if a == nil || i >= len(callee.Params) {
 				continue
 			}
-			if info.Mod[callee].Has(callee.Params[i]) {
+			if mod.formals.Has(i) {
 				add(a)
 				if al != nil {
 					for _, w := range al.Partners(caller, a) {
@@ -341,16 +415,15 @@ func fillMayDef(prog *ir.Program, cg *callgraph.Graph, al *alias.Info, info *Inf
 				}
 			}
 		}
-		for v := range info.Mod[callee] {
-			if v.IsGlobal() {
-				add(v)
-				if al != nil {
-					for _, w := range al.Partners(caller, v) {
-						add(w)
-					}
+		mod.globals.Each(func(g int) {
+			v := mod.vars[g]
+			add(v)
+			if al != nil {
+				for _, w := range al.Partners(caller, v) {
+					add(w)
 				}
 			}
-		}
+		})
 		sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 		call.MayDef = out
 	}
@@ -365,7 +438,7 @@ func (i *Info) Dump(cg *callgraph.Graph) string {
 	return b.String()
 }
 
-func names(s Set) string {
+func names(s *Set) string {
 	vs := s.Sorted()
 	parts := make([]string, len(vs))
 	for i, v := range vs {

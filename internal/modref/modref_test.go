@@ -20,13 +20,14 @@ func compute(t *testing.T, src string) (*ir.Program, *callgraph.Graph, *modref.I
 	return prog, cg, mr
 }
 
-func hasNamed(s modref.Set, name string) bool {
-	for v := range s {
+func hasNamed(s *modref.Set, name string) bool {
+	found := false
+	s.Each(func(v *sem.Var) {
 		if v.Name == name {
-			return true
+			found = true
 		}
-	}
-	return false
+	})
+	return found
 }
 
 func TestDirectModRef(t *testing.T) {

@@ -605,13 +605,17 @@ func UseTable(profiles []bench.Profile) (string, error) {
 		use := icp.ComputeUse(ctx)
 		uTot, rTot := 0, 0
 		for _, q := range ctx.CG.Reachable {
-			uTot += len(use[q])
-			rTot += len(ctx.MR.Ref[q])
+			uTot += use[q].Len()
+			rTot += ctx.MR.Ref[q].Len()
 			// structural sanity: USE ⊆ REF
-			for v := range use[q] {
-				if !ctx.MR.Ref[q].Has(v) {
-					return "", fmt.Errorf("%s: USE(%s) ∋ %s ∉ REF", p.Name, q.Name, v.Name)
+			var outside *sem.Var
+			use[q].Each(func(v *sem.Var) {
+				if outside == nil && !ctx.MR.Ref[q].Has(v) {
+					outside = v
 				}
+			})
+			if outside != nil {
+				return "", fmt.Errorf("%s: USE(%s) ∋ %s ∉ REF", p.Name, q.Name, outside.Name)
 			}
 		}
 		r := 1.0
