@@ -50,9 +50,9 @@ func main() {
 	}
 	fmt.Print("\nprogram output:\n", before.Output)
 
-	assigns, folded, branches, removed := a.Transform()
+	rep := a.ApplyTransform()
 	fmt.Printf("\ntransformation: %d entry assignments, %d folded instructions, %d folded branches, %d blocks removed\n",
-		assigns, folded, branches, removed)
+		rep.EntryAssignments, rep.FoldedInstrs, rep.FoldedBranches, rep.RemovedBlocks)
 
 	after := prog.Run(nil)
 	if after.Err != nil {

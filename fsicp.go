@@ -263,7 +263,7 @@ func (k JumpFunctionKind) String() string {
 //
 // A Program may be analysed from multiple goroutines concurrently:
 // Analyze, AnalyzeJumpFunctions, and the read-only accessors never
-// mutate the program. Transform, Clone, Inline, and
+// mutate the program. ApplyTransform, Optimize, Clone, Inline, and
 // RemoveDeadProcedures DO mutate the program in place and must not race
 // with any other use of it.
 type Program struct {
@@ -310,10 +310,7 @@ func LoadWith(filename, src string, opts LoadOptions) (*Program, error) {
 // load fails with the context's error.
 func LoadContext(ctx context.Context, filename, src string, opts LoadOptions) (*Program, error) {
 	f := source.NewFile(filename, src)
-	var (
-		astProg *ast.Program
-		semProg *sem.Program
-	)
+	var astProg *ast.Program
 	m := driver.NewManager()
 	m.SetWorkers(opts.Workers)
 	m.SetMemStats(opts.MemStats)
@@ -321,11 +318,7 @@ func LoadContext(ctx context.Context, filename, src string, opts LoadOptions) (*
 		astProg, err = parser.ParseFile(f)
 		return err
 	}})
-	m.Add(driver.Pass{Name: "sem", Deps: []string{"parse"}, Run: func(st *driver.PassStats) (err error) {
-		semProg, err = sem.Check(astProg, f)
-		return err
-	}})
-	ictx := addBackendPasses(m, &semProg)
+	ictx := addBackendPasses(m, &astProg, f)
 	trace, err := m.RunContext(ctx)
 	if err != nil {
 		return nil, err
@@ -391,10 +384,7 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 	for i, cf := range files {
 		sfiles[i] = fset.AddSized(cf.name, cf.size)
 	}
-	var (
-		astProg *ast.Program
-		semProg *sem.Program
-	)
+	var astProg *ast.Program
 	units := make([]*ast.Program, len(files))
 	perrs := make([]error, len(files))
 	var parseFailed atomic.Bool
@@ -478,11 +468,7 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 			st.Notes = fmt.Sprintf("%d files src-peak=%d", len(units), srcPeak.Load())
 			return nil
 		}})
-	m.Add(driver.Pass{Name: "sem", Deps: []string{"parse"}, Run: func(st *driver.PassStats) (err error) {
-		semProg, err = sem.Check(astProg, fset)
-		return err
-	}})
-	ictx := addBackendPasses(m, &semProg)
+	ictx := addBackendPasses(m, &astProg, fset)
 	trace, err := m.RunContext(ctx)
 	if err != nil {
 		return nil, err
@@ -545,27 +531,48 @@ func corpusFileNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// addBackendPasses wires the post-sem load passes (irbuild through the
-// eager SSA prebuild) onto m. *semProg must be populated by an earlier
-// pass; the returned pointer yields the prepared interprocedural
-// context once the manager has run.
-func addBackendPasses(m *driver.Manager, semProg **sem.Program) **icp.Context {
+// addBackendPasses wires the post-parse load passes (sem through the
+// eager SSA prebuild) onto m. *astProg must be populated by a pass
+// named "parse", and file resolves its positions; the returned pointer
+// yields the prepared interprocedural context once the manager has
+// run.
+func addBackendPasses(m *driver.Manager, astProg **ast.Program, file source.PosResolver) **icp.Context {
 	var (
-		irProg *ir.Program
-		cg     *callgraph.Graph
-		al     *alias.Info
-		mr     *modref.Info
-		pb     *irbuild.Builder
-		mb     *modref.Builder
-		ictx   *icp.Context
+		sc      *sem.Checker
+		semProg *sem.Program
+		irProg  *ir.Program
+		cg      *callgraph.Graph
+		al      *alias.Info
+		mr      *modref.Info
+		pb      *irbuild.Builder
+		mb      *modref.Builder
+		ictx    *icp.Context
 	)
+	// The semantic check fans out per procedure body after the serial
+	// collection of globals and signatures; Finish merges the
+	// diagnostics in procedure order and runs the whole-program checks.
+	m.Add(driver.Pass{Name: "sem", Deps: []string{"parse"},
+		Run: func(st *driver.PassStats) error {
+			sc = sem.Begin(*astProg, file)
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			return sc.NumProcs(), sc.CheckProc
+		},
+		Finish: func(st *driver.PassStats) (err error) {
+			semProg, err = sc.Finish()
+			if err == nil {
+				st.Procs = len(semProg.Procs)
+			}
+			return err
+		}})
 	// Lowering fans out per procedure (variables are numbered per
 	// procedure); the serial Finish epilogue hands out the dense
 	// program-wide call-site IDs in procedure order, reproducing exactly
 	// the serial numbering.
 	m.Add(driver.Pass{Name: "irbuild", Deps: []string{"sem"},
 		Run: func(st *driver.PassStats) error {
-			pb = irbuild.NewBuilder(*semProg)
+			pb = irbuild.NewBuilder(semProg)
 			return nil
 		},
 		Shards: func(workers int) (int, func(int)) {
@@ -1116,17 +1123,6 @@ func (a *Analysis) ApplyTransform() TransformReport {
 	}
 }
 
-// Transform is ApplyTransform returning bare counts: (entry
-// assignments, folded instructions, folded branches, removed blocks).
-//
-// Deprecated: use ApplyTransform, whose named report cannot be
-// misordered, or Optimize for the full pass pipeline. Transform will be
-// removed one release after the pipeline's introduction.
-func (a *Analysis) Transform() (int, int, int, int) {
-	rep := a.ApplyTransform()
-	return rep.EntryAssignments, rep.FoldedInstrs, rep.FoldedBranches, rep.RemovedBlocks
-}
-
 // OptimizeOptions selects optimization passes for Analysis.Optimize.
 // The zero value (no pass selected) means every pass, so
 // Optimize(OptimizeOptions{}) and Optimize(AllOptimizations()) agree.
@@ -1221,7 +1217,7 @@ func (r OptimizeReport) EliminatedInstrs() int {
 // dead-branch deletion, copy propagation, local CSE, and loop-invariant
 // constant hoisting, each sharded per function through the driver pass
 // manager (their stats join Analysis.StatsTable). The rewrite is
-// destructive — like Transform, it must not be applied to a Program
+// destructive — like ApplyTransform, it must not be applied to a Program
 // still owned by a Session — but semantics-preserving: Run produces
 // byte-identical output before and after, for every pass combination
 // and worker count.
@@ -1286,7 +1282,8 @@ func (a *Analysis) Eliminations() []ProcElimination {
 }
 
 // RemoveDeadProcedures deletes procedures this analysis proved can
-// never execute (run Transform first so dead call sites are pruned).
+// never execute (run ApplyTransform first so dead call sites are
+// pruned).
 // Returns the removed procedures' names.
 func (a *Analysis) RemoveDeadProcedures() []string {
 	a.prog.ctx.InvalidateSSA()

@@ -140,6 +140,10 @@ type VarDecl struct {
 	Name  string
 	Type  Type
 	Init  Expr // may be nil
+
+	// Slot is set by the semantic check: the declared local's slot in
+	// its procedure, plus 1; 0 when the declaration was rejected.
+	Slot int32
 }
 
 // AssignStmt assigns Value to the named variable.
@@ -243,6 +247,14 @@ type Expr interface {
 type Ident struct {
 	NamePos source.Pos
 	Name    string
+
+	// Ref and RefProc are set by the semantic check to what a variable
+	// reference resolved to: Ref > 0 is slot Ref-1 of the procedure
+	// with check-order index RefProc, Ref < 0 is global -Ref-1, and 0
+	// means unresolved (always so for a procedure name in call
+	// position).
+	Ref     int32
+	RefProc int32
 }
 
 // IntLit is an integer literal.
@@ -276,12 +288,14 @@ type UnaryExpr struct {
 	OpPos source.Pos
 	Op    token.Kind
 	X     Expr
+	Type  Type // checked result type, set by the semantic check
 }
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
 	Op   token.Kind
 	X, Y Expr
+	Type Type // checked result type, set by the semantic check
 }
 
 // CallExpr invokes a function (in expressions) or subroutine (under
@@ -290,6 +304,10 @@ type CallExpr struct {
 	Fun  *Ident
 	Args []Expr
 	Rp   source.Pos
+
+	// Callee is set by the semantic check: the check-order index of
+	// the invoked procedure, plus 1; 0 when the callee is undeclared.
+	Callee int32
 }
 
 // ParenExpr is a parenthesised expression, retained for printing.

@@ -328,9 +328,12 @@ type Pass struct {
 }
 
 // Memo records pass fingerprints across runs of a pipeline over
-// successive versions of the same input, enabling Pass.Reuse. The
-// zero value is ready to use. A Memo is not safe for concurrent use;
-// it is meant to be owned by one long-lived session.
+// successive versions of the same input, enabling Pass.Reuse. Only a
+// run that completes every pass records its fingerprints, so the memo
+// always describes the last successful run — the one whose outputs
+// Reuse reinstalls. The zero value is ready to use. A Memo is not
+// safe for concurrent use; it is meant to be owned by one long-lived
+// session.
 type Memo struct {
 	keys map[string]string
 }
@@ -422,6 +425,7 @@ func (m *Manager) RunIntoContext(ctx context.Context, tr *Trace) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	keys := make(map[string]string)
 	for _, p := range order {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("before pass %s: %w", p.Name, err)
@@ -451,13 +455,16 @@ func (m *Manager) RunIntoContext(ctx context.Context, tr *Trace) error {
 				}
 				m.sampleMem(st, gcBase)
 			})
-			if runErr == nil && key != "" {
-				m.memo.set(p.Name, key)
+			if key != "" {
+				keys[p.Name] = key
 			}
 		}
 		if runErr != nil {
 			return fmt.Errorf("pass %s: %w", p.Name, runErr)
 		}
+	}
+	for name, key := range keys {
+		m.memo.set(name, key)
 	}
 	return nil
 }

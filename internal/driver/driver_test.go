@@ -300,6 +300,46 @@ func TestManagerMemoFailedRunNotRecorded(t *testing.T) {
 	}
 }
 
+// TestManagerMemoRecordsOnlyCompleteRuns asserts a pass that succeeded
+// in a run a later pass failed is not memoized either: the memo must
+// describe the last complete run, whose outputs Reuse reinstalls.
+func TestManagerMemoRecordsOnlyCompleteRuns(t *testing.T) {
+	memo := NewMemo()
+	fail := true
+	runs := 0
+	build := func() *Manager {
+		m := NewManager()
+		m.SetMemo(memo)
+		m.Add(Pass{
+			Name:        "first",
+			Run:         func(st *PassStats) error { runs++; return nil },
+			Fingerprint: func() string { return "k" },
+			Reuse:       func(st *PassStats) error { t.Error("Reuse of a pass from a failed run"); return nil },
+		})
+		m.Add(Pass{
+			Name: "second",
+			Deps: []string{"first"},
+			Run: func(st *PassStats) error {
+				if fail {
+					return errors.New("boom")
+				}
+				return nil
+			},
+		})
+		return m
+	}
+	if _, err := build().Run(); err == nil {
+		t.Fatal("want error from failing pass")
+	}
+	fail = false
+	if _, err := build().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 2 {
+		t.Fatalf("runs=%d, want 2 (failed run not memoized)", runs)
+	}
+}
+
 func TestManagerMemoRequiresBothHooks(t *testing.T) {
 	memo := NewMemo()
 	runs := 0

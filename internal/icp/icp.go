@@ -402,13 +402,3 @@ func stripParens(e ast.Expr) ast.Expr {
 		e = p.X
 	}
 }
-
-// argIdentVar returns the variable a bare-identifier argument names
-// (nil for any other argument shape). Parentheses make an argument an
-// expression (by-value), so they are *not* stripped here.
-func argIdentVar(info *sem.Info, e ast.Expr) *sem.Var {
-	if id, ok := e.(*ast.Ident); ok {
-		return info.Refs[id]
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package icp
 
 import (
+	"fsicp/internal/ast"
 	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
 	"fsicp/internal/sem"
@@ -147,7 +148,10 @@ func (s *fiSolution) classifyArg(ctx *Context, caller *sem.Proc, call *ir.CallIn
 		}
 		return fiArgClass{kind: fiArgLiteral, lit: v}
 	}
-	if v := argIdentVar(ctx.Prog.Sem.Info, syntax); v != nil {
+	// Parentheses make an argument an expression (by-value), so only a
+	// bare identifier names a variable.
+	id, _ := syntax.(*ast.Ident)
+	if v := ctx.Prog.Sem.Ref(id); v != nil {
 		if v.IsGlobal() {
 			if _, ok := s.globalConsts[v]; ok {
 				return fiArgClass{kind: fiArgGlobal, g: v}

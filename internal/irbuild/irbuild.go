@@ -192,7 +192,7 @@ func (b *builder) block(blk *ast.Block) {
 }
 
 func (b *builder) varOf(id *ast.Ident) *sem.Var {
-	v := b.sem.Info.Refs[id]
+	v := b.sem.Ref(id)
 	if v == nil {
 		panic("irbuild: unresolved identifier " + id.Name)
 	}
@@ -206,8 +206,7 @@ func (b *builder) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.VarDecl:
 		if s.Init != nil {
-			v := b.lookupLocal(s)
-			b.exprInto(v, s.Init)
+			b.exprInto(b.fn.Proc.Local(s), s.Init)
 		}
 	case *ast.AssignStmt:
 		b.exprInto(b.varOf(s.Name), s.Value)
@@ -251,17 +250,6 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.Block:
 		b.block(s)
 	}
-}
-
-// lookupLocal finds the sem.Var a VarDecl introduced. sem registers the
-// local in Proc.Locals in declaration order; match by name and position.
-func (b *builder) lookupLocal(d *ast.VarDecl) *sem.Var {
-	for _, v := range b.fn.Proc.Locals {
-		if v.Name == d.Name && v.Pos == d.KwPos {
-			return v
-		}
-	}
-	panic("irbuild: local not registered: " + d.Name)
 }
 
 func (b *builder) ifStmt(s *ast.IfStmt) {
@@ -370,7 +358,7 @@ func (b *builder) expr(e ast.Expr) *sem.Var {
 	if id, ok := stripParens(e).(*ast.Ident); ok {
 		return b.varOf(id)
 	}
-	t := b.sem.Info.Types[e]
+	t := b.sem.TypeOf(e)
 	if t == ast.TypeInvalid {
 		t = ast.TypeInt // error recovery; sem already reported
 	}
@@ -411,7 +399,7 @@ func (b *builder) exprInto(dst *sem.Var, e ast.Expr) {
 // call lowers a call; dst receives the function result (nil for
 // subroutine call statements).
 func (b *builder) call(e *ast.CallExpr, dst *sem.Var) {
-	callee := b.sem.Info.Callees[e]
+	callee := b.sem.Callee(e)
 	if callee == nil {
 		panic("irbuild: unresolved callee " + e.Fun.Name)
 	}

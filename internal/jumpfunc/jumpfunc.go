@@ -317,7 +317,7 @@ func unmodifiedFormal(ctx *icp.Context, caller *sem.Proc, e ast.Expr) *sem.Var {
 	if !ok {
 		return nil
 	}
-	v := ctx.Prog.Sem.Info.Refs[id]
+	v := ctx.Prog.Sem.Ref(id)
 	if v == nil || v.Kind != sem.KindFormal || v.Owner != caller {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fsicp/internal/ast"
+	"fsicp/internal/driver"
 	"fsicp/internal/irbuild"
 	"fsicp/internal/progen"
 	"fsicp/internal/sem"
@@ -51,11 +52,13 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzPipeline: anything that parses and checks must lower and format
-// deterministically.
+// deterministically, and the sharded semantic check must agree with
+// the serial one: the same diagnostics, or the same lowered program.
 func FuzzPipeline(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(progen.Generate(progen.Config{Seed: seed, AllowRecursion: true, AllowFloats: true}))
 	}
+	f.Add("program p\nproc main(a int) { x = 1 }\nproc f() { break }\nproc f() {}\nfunc g() int { return 1.5 }")
 	f.Fuzz(func(t *testing.T, src string) {
 		file := source.NewFile("fuzz.mf", src)
 		prog, err := ParseFile(file)
@@ -63,11 +66,31 @@ func FuzzPipeline(f *testing.F) {
 			return
 		}
 		sp, err := sem.Check(prog, file)
-		if err != nil {
+		// The check records resolution on the syntax nodes, so the
+		// sharded check gets a parse of its own.
+		again, err2 := ParseFile(file)
+		if err2 != nil {
+			t.Fatalf("second parse failed: %v", err2)
+		}
+		sc := sem.Begin(again, file)
+		driver.Parallel(sc.NumProcs(), 4, sc.CheckProc)
+		sp2, err2 := sc.Finish()
+		if err != nil || err2 != nil {
+			if err == nil || err2 == nil || err.Error() != err2.Error() {
+				t.Fatalf("serial and sharded checks disagree:\nserial: %v\nsharded: %v", err, err2)
+			}
 			return
 		}
-		if _, err := irbuild.Build(sp); err != nil {
+		ir1, err := irbuild.Build(sp)
+		if err != nil {
 			return // for-step restriction; rejection is fine
+		}
+		ir2, err := irbuild.Build(sp2)
+		if err != nil {
+			t.Fatalf("lowering the sharded check failed: %v", err)
+		}
+		if d1, d2 := ir1.Dump(), ir2.Dump(); d1 != d2 {
+			t.Fatalf("serial and sharded checks lower differently:\n--- serial ---\n%s\n--- sharded ---\n%s", d1, d2)
 		}
 		a := ast.Format(prog)
 		prog2, err := Parse("fuzz2.mf", a)

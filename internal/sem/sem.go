@@ -5,6 +5,7 @@
 package sem
 
 import (
+	"slices"
 	"strconv"
 
 	"fsicp/internal/ast"
@@ -97,8 +98,22 @@ func (p *Proc) newOwned(v *Var) *Var {
 // (Slot runs 0..NumSlots-1).
 func (p *Proc) NumSlots() int { return p.nslots }
 
+// varAt returns p's variable in the given slot. Formals are created
+// before any local or temporary, so slot s is Params[s] or
+// Locals[s-len(Params)] and no slot table is needed.
+func (p *Proc) varAt(slot int) *Var {
+	if slot < len(p.Params) {
+		return p.Params[slot]
+	}
+	return p.Locals[slot-len(p.Params)]
+}
+
+// Local returns the variable that declaration d, in p's body, declared.
+func (p *Proc) Local(d *ast.VarDecl) *Var { return p.varAt(int(d.Slot) - 1) }
+
 // NewParam appends a formal parameter to p, with the next formal
-// position and slot.
+// position and slot. All formals must be created before p's first
+// local or temporary.
 func (p *Proc) NewParam(name string, t ast.Type, pos source.Pos) *Var {
 	v := p.newOwned(&Var{Name: name, Kind: KindFormal, Type: t, Index: len(p.Params), Pos: pos})
 	p.Params = append(p.Params, v)
@@ -129,6 +144,15 @@ func (p *Proc) NewLocal(name string, t ast.Type) *Var {
 }
 
 // Program is a checked whole program.
+//
+// Resolution results live on the syntax nodes themselves (the check
+// writes ast.Ident.Ref, ast.CallExpr.Callee, the operator nodes' Type
+// and ast.VarDecl.Slot) and are read back through Ref, Callee and
+// TypeOf, so no program-wide table keyed by syntax node exists. An AST
+// therefore belongs to the one check that annotated it: checking it
+// again rewrites the same annotations, which must not race with a
+// reader of the earlier Program (no load path does so; see
+// fsicp.Session.Update).
 type Program struct {
 	Name       string
 	Globals    []*Var
@@ -137,17 +161,63 @@ type Program struct {
 	ProcByName map[string]*Proc
 	Main       *Proc
 	AST        *ast.Program
-	Info       *Info
+
+	// checked lists the procedures in check order, the order the
+	// syntax annotations index. Transformations may drop or renumber
+	// Procs; this copy keeps annotations resolving to the procedures
+	// they were checked against.
+	checked []*Proc
 }
 
-// Info records resolution results keyed by syntax nodes.
-type Info struct {
-	// Refs maps every variable-reference Ident to its Var.
-	Refs map[*ast.Ident]*Var
-	// Callees maps every CallExpr to the invoked procedure.
-	Callees map[*ast.CallExpr]*Proc
-	// Types maps every expression to its checked type.
-	Types map[ast.Expr]ast.Type
+// Ref returns the variable a reference resolved to, or nil for an
+// unresolved identifier (or a nil id). The answer depends only on the
+// identifier, not on which procedure asks: an identifier copied into
+// another procedure (an inlined call's argument syntax) still names
+// its original owner's variable.
+func (p *Program) Ref(id *ast.Ident) *Var {
+	switch {
+	case id == nil || id.Ref == 0:
+		return nil
+	case id.Ref < 0:
+		return p.Globals[-id.Ref-1]
+	}
+	return p.checked[id.RefProc].varAt(int(id.Ref) - 1)
+}
+
+// Callee returns the procedure a call invokes, or nil if undeclared.
+func (p *Program) Callee(call *ast.CallExpr) *Proc {
+	if call.Callee == 0 {
+		return nil
+	}
+	return p.checked[call.Callee-1]
+}
+
+// TypeOf returns the checked type of an expression: recorded on
+// operator nodes, derived for the rest.
+func (p *Program) TypeOf(e ast.Expr) ast.Type {
+	switch e := e.(type) {
+	case *ast.Ident:
+		if v := p.Ref(e); v != nil {
+			return v.Type
+		}
+	case *ast.IntLit:
+		return ast.TypeInt
+	case *ast.RealLit:
+		return ast.TypeReal
+	case *ast.BoolLit:
+		return ast.TypeBool
+	case *ast.UnaryExpr:
+		return e.Type
+	case *ast.BinaryExpr:
+		return e.Type
+	case *ast.CallExpr:
+		if callee := p.Callee(e); callee != nil && callee.IsFunc {
+			return callee.Result
+		}
+	case *ast.ParenExpr:
+		return p.TypeOf(e.X)
+	}
+	return ast.TypeInvalid
 }
 
 // Check resolves and type-checks prog. On failure the error is a
@@ -155,62 +225,86 @@ type Info struct {
 // *source.File for single-file programs, a *source.FileSet for merged
 // multi-file corpora) is only used to render diagnostic positions.
 func Check(prog *ast.Program, file source.PosResolver) (*Program, error) {
-	errs := &source.ErrorList{File: file}
-	c := &checker{
-		errs: errs,
+	c := Begin(prog, file)
+	for i := 0; i < c.NumProcs(); i++ {
+		c.CheckProc(i)
+	}
+	return c.Finish()
+}
+
+// A Checker is an in-flight check whose per-procedure work can be
+// fanned across goroutines: Begin collects the globals and procedure
+// signatures serially, CheckProc(i) checks one body with its own
+// scope and diagnostic list, writing only procedure i's syntax nodes
+// and Proc, and Finish appends the diagnostics in procedure order
+// before the whole-program checks — so the result, errors included,
+// is byte-identical at every worker count.
+type Checker struct {
+	p            *Program
+	errs         *source.ErrorList
+	globalByName map[string]*Var
+	diags        [][]source.Diagnostic // per procedure
+}
+
+// Begin starts checking prog: globals and procedure signatures.
+func Begin(prog *ast.Program, file source.PosResolver) *Checker {
+	c := &Checker{
 		p: &Program{
 			Name:       prog.Name,
 			GlobalInit: make(map[*Var]val.Value),
 			ProcByName: make(map[string]*Proc),
 			AST:        prog,
-			Info: &Info{
-				Refs:    make(map[*ast.Ident]*Var),
-				Callees: make(map[*ast.CallExpr]*Proc),
-				Types:   make(map[ast.Expr]ast.Type),
-			},
 		},
+		errs:         &source.ErrorList{File: file},
 		globalByName: make(map[string]*Var),
 	}
 	c.collectGlobals(prog)
 	c.collectProcs(prog)
-	for i, pd := range prog.Procs {
-		if i < len(c.p.Procs) {
-			c.checkProc(c.p.Procs[i], pd)
-		}
+	c.p.checked = slices.Clone(c.p.Procs)
+	c.diags = make([][]source.Diagnostic, len(c.p.Procs))
+	return c
+}
+
+// NumProcs returns the number of procedure bodies to check.
+func (c *Checker) NumProcs() int { return len(c.p.checked) }
+
+// CheckProc checks the body of procedure i. Safe to call concurrently
+// for distinct i.
+func (c *Checker) CheckProc(i int) {
+	pc := &procChecker{p: c.p, globalByName: c.globalByName}
+	p := c.p.checked[i]
+	pc.checkProc(p, p.Decl)
+	c.diags[i] = pc.errs.Diags
+}
+
+// Finish completes the check once every procedure is checked.
+func (c *Checker) Finish() (*Program, error) {
+	for _, d := range c.diags {
+		c.errs.Diags = append(c.errs.Diags, d...)
 	}
+	prog := c.p.AST
 	if main, ok := c.p.ProcByName["main"]; !ok {
-		errs.Errorf(prog.NamePos, "program has no procedure named 'main'")
+		c.errs.Errorf(prog.NamePos, "program has no procedure named 'main'")
 	} else {
 		c.p.Main = main
 		if len(main.Params) != 0 {
-			errs.Errorf(main.Decl.KwPos, "'main' must not declare parameters")
+			c.errs.Errorf(main.Decl.KwPos, "'main' must not declare parameters")
 		}
 		if main.IsFunc {
-			errs.Errorf(main.Decl.KwPos, "'main' must be a proc, not a func")
+			c.errs.Errorf(main.Decl.KwPos, "'main' must be a proc, not a func")
 		}
 	}
-	if err := errs.Err(); err != nil {
+	if err := c.errs.Err(); err != nil {
 		return nil, err
 	}
 	return c.p, nil
 }
 
-type checker struct {
-	errs         *source.ErrorList
-	p            *Program
-	globalByName map[string]*Var
-
-	// per-procedure state
-	proc      *Proc
-	scope     map[string]*Var
-	loopDepth int
-}
-
-func (c *checker) errorf(pos source.Pos, format string, args ...any) {
+func (c *Checker) errorf(pos source.Pos, format string, args ...any) {
 	c.errs.Errorf(pos, format, args...)
 }
 
-func (c *checker) collectGlobals(prog *ast.Program) {
+func (c *Checker) collectGlobals(prog *ast.Program) {
 	for _, g := range prog.Globals {
 		if prev, ok := c.globalByName[g.Name]; ok {
 			c.errorf(g.KwPos, "global %q redeclared (previous declaration at %v)", g.Name, prev.Pos)
@@ -231,7 +325,7 @@ func (c *checker) collectGlobals(prog *ast.Program) {
 	}
 }
 
-func (c *checker) evalInitLit(e ast.Expr) (val.Value, bool) {
+func (c *Checker) evalInitLit(e ast.Expr) (val.Value, bool) {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return val.Int(e.Value), true
@@ -252,7 +346,7 @@ func (c *checker) evalInitLit(e ast.Expr) (val.Value, bool) {
 	return val.Value{}, false
 }
 
-func (c *checker) collectProcs(prog *ast.Program) {
+func (c *Checker) collectProcs(prog *ast.Program) {
 	for _, pd := range prog.Procs {
 		if prev, ok := c.p.ProcByName[pd.Name]; ok {
 			c.errorf(pd.KwPos, "procedure %q redeclared (previous declaration at %v)", pd.Name, prev.Decl.KwPos)
@@ -277,7 +371,33 @@ func (c *checker) collectProcs(prog *ast.Program) {
 	}
 }
 
-func (c *checker) checkProc(p *Proc, pd *ast.ProcDecl) {
+// procChecker checks one procedure body; it writes only that
+// procedure's Proc and syntax nodes, and its own diagnostics.
+type procChecker struct {
+	p            *Program
+	globalByName map[string]*Var
+	errs         source.ErrorList
+
+	proc      *Proc
+	scope     map[string]*Var
+	loopDepth int
+}
+
+func (c *procChecker) errorf(pos source.Pos, format string, args ...any) {
+	c.errs.Errorf(pos, format, args...)
+}
+
+// record annotates a variable reference with its resolution. During
+// the check a procedure's Index is its check-order index.
+func (c *procChecker) record(id *ast.Ident, v *Var) {
+	if v.IsGlobal() {
+		id.Ref, id.RefProc = -int32(v.Index)-1, 0
+		return
+	}
+	id.Ref, id.RefProc = int32(v.Slot)+1, int32(c.proc.Index)
+}
+
+func (c *procChecker) checkProc(p *Proc, pd *ast.ProcDecl) {
 	c.proc = p
 	c.scope = make(map[string]*Var)
 	c.loopDepth = 0
@@ -305,18 +425,18 @@ func (c *checker) checkProc(p *Proc, pd *ast.ProcDecl) {
 		c.scope[u.Name] = g
 		p.Uses = append(p.Uses, g)
 		p.UsesSet[g] = true
-		c.p.Info.Refs[u] = g
+		c.record(u, g)
 	}
 	c.checkBlock(pd.Body)
 }
 
-func (c *checker) checkBlock(b *ast.Block) {
+func (c *procChecker) checkBlock(b *ast.Block) {
 	for _, s := range b.Stmts {
 		c.checkStmt(s)
 	}
 }
 
-func (c *checker) checkStmt(s ast.Stmt) {
+func (c *procChecker) checkStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.VarDecl:
 		if prev, ok := c.scope[s.Name]; ok {
@@ -327,6 +447,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 			return
 		}
 		v := c.proc.newOwned(&Var{Name: s.Name, Kind: KindLocal, Type: s.Type, Pos: s.KwPos})
+		s.Slot = int32(v.Slot) + 1
 		c.scope[s.Name] = v
 		c.proc.Locals = append(c.proc.Locals, v)
 		if s.Init != nil {
@@ -400,7 +521,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 	}
 }
 
-func (c *checker) checkCond(e ast.Expr) {
+func (c *procChecker) checkCond(e ast.Expr) {
 	if t := c.checkExpr(e); t != ast.TypeInvalid && t != ast.TypeBool {
 		c.errorf(e.Pos(), "condition must be bool, not %s", t)
 	}
@@ -408,9 +529,9 @@ func (c *checker) checkCond(e ast.Expr) {
 
 // resolve looks up a variable reference; reports and returns nil if
 // undeclared.
-func (c *checker) resolve(id *ast.Ident) *Var {
+func (c *procChecker) resolve(id *ast.Ident) *Var {
 	if v, ok := c.scope[id.Name]; ok {
-		c.p.Info.Refs[id] = v
+		c.record(id, v)
 		return v
 	}
 	if _, isGlobal := c.globalByName[id.Name]; isGlobal {
@@ -421,7 +542,7 @@ func (c *checker) resolve(id *ast.Ident) *Var {
 	return nil
 }
 
-func (c *checker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
+func (c *procChecker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
 	callee, ok := c.p.ProcByName[call.Fun.Name]
 	if !ok {
 		c.errorf(call.Fun.NamePos, "call of undeclared procedure %q", call.Fun.Name)
@@ -430,7 +551,7 @@ func (c *checker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
 		}
 		return ast.TypeInvalid
 	}
-	c.p.Info.Callees[call] = callee
+	call.Callee = int32(callee.Index) + 1
 	if !stmt && !callee.IsFunc {
 		c.errorf(call.Fun.NamePos, "proc %q has no result and cannot appear in an expression", callee.Name)
 	}
@@ -449,14 +570,20 @@ func (c *checker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
 	return ast.TypeInvalid
 }
 
-// checkExpr types an expression, recording the result in Info.Types.
-func (c *checker) checkExpr(e ast.Expr) ast.Type {
+// checkExpr types an expression, recording the result on operator
+// nodes (Program.TypeOf derives it for the rest).
+func (c *procChecker) checkExpr(e ast.Expr) ast.Type {
 	t := c.typeOf(e)
-	c.p.Info.Types[e] = t
+	switch e := e.(type) {
+	case *ast.UnaryExpr:
+		e.Type = t
+	case *ast.BinaryExpr:
+		e.Type = t
+	}
 	return t
 }
 
-func (c *checker) typeOf(e ast.Expr) ast.Type {
+func (c *procChecker) typeOf(e ast.Expr) ast.Type {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if v := c.resolve(e); v != nil {

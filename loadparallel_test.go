@@ -2,6 +2,7 @@ package fsicp_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -9,6 +10,10 @@ import (
 	"time"
 
 	fsicp "fsicp"
+	"fsicp/internal/ast"
+	"fsicp/internal/parser"
+	"fsicp/internal/sem"
+	"fsicp/internal/source"
 )
 
 // loadFingerprint renders everything the front end produces — the IR
@@ -109,7 +114,7 @@ func TestLoadShardNotes(t *testing.T) {
 	}
 	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
 
-	sharded := map[string]bool{"irbuild": false, "alias": false, "modref": false, "clobbers": false, "ssa": false}
+	sharded := map[string]bool{"sem": false, "irbuild": false, "alias": false, "modref": false, "clobbers": false, "ssa": false}
 	for _, st := range a.Stats() {
 		if _, ok := sharded[st.Name]; !ok || st.Shards == 0 {
 			continue
@@ -145,6 +150,75 @@ func TestLoadShardNotes(t *testing.T) {
 		if len(line) < width-20 {
 			t.Errorf("stats table row much narrower than header:\n%s", table)
 			break
+		}
+	}
+}
+
+// TestSemDiagnosticsAcrossWorkers asserts the sharded semantic check
+// reports a multi-file corpus's errors — in several procedures across
+// files, plus a redeclared procedure and a main with parameters — with
+// the same text at every worker count, and the same text as a serial
+// sem.Check of the merged program.
+func TestSemDiagnosticsAcrossWorkers(t *testing.T) {
+	files := []fsicp.SourceFile{
+		{Name: "main.mf", Src: `program multi
+global g int = 1
+proc main(a int) {
+  use g
+  call helper(1)
+  x = 2
+}
+`},
+		{Name: "one.mf", Src: `module one
+proc helper(n int) {
+  var y real
+  y = n
+}
+proc helper(n int) {}
+`},
+		{Name: "two.mf", Src: `module two
+func f(b bool) int {
+  if b + 1 { }
+  return 1.5
+}
+proc stray() { break }
+`},
+	}
+
+	fset := source.NewFileSet()
+	units := make([]*ast.Program, len(files))
+	for i, sf := range files {
+		u, err := parser.ParseUnit(fset.Add(sf.Name, sf.Src), fset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units[i] = u
+	}
+	_, err := sem.Check(ast.MergeUnits(units), fset)
+	if err == nil {
+		t.Fatal("serial check accepted the corpus")
+	}
+	// Signature-level diagnostics first, then each body's in procedure
+	// order, then the whole-program checks.
+	const want = `one.mf:6:1: error: procedure "helper" redeclared (previous declaration at 98)
+main.mf:6:3: error: undeclared variable "x"
+one.mf:4:7: error: cannot assign int value to real variable "y"
+two.mf:3:10: error: mismatched operand types bool and int for +
+two.mf:4:10: error: func "f" returns int, cannot return real
+two.mf:6:16: error: break outside loop
+main.mf:3:1: error: 'main' must not declare parameters`
+	if got := err.Error(); got != want {
+		t.Fatalf("serial diagnostics:\n%s\nwant:\n%s", got, want)
+	}
+
+	for _, workers := range []int{1, 2, 4, 8} {
+		_, err := fsicp.LoadFiles(files, fsicp.LoadOptions{Workers: workers})
+		var el *source.ErrorList
+		if !errors.As(err, &el) {
+			t.Fatalf("workers=%d: error %v carries no diagnostics", workers, err)
+		}
+		if got := el.Error(); got != want {
+			t.Errorf("workers=%d: diagnostics differ from serial sem.Check\ngot:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}
 }

@@ -38,7 +38,7 @@ import (
 //     differential property tests enforce this).
 //
 // A Session is not safe for concurrent use, and the destructive
-// Program methods (Transform, Clone, Inline, RemoveDeadProcedures)
+// Program methods (ApplyTransform, Clone, Inline, RemoveDeadProcedures)
 // must not be applied to a Program still owned by a Session — they
 // mutate state the next Update would reuse. Take a fresh Load for
 // transformation work.
@@ -96,6 +96,7 @@ func (s *Session) Update(src string) (*Program, error) {
 	next := &sessionState{srcKey: incr.HashString(src)}
 
 	var (
+		sc      *sem.Checker
 		semProg *sem.Program
 		irProg  *ir.Program
 		cg      *callgraph.Graph
@@ -132,6 +133,14 @@ func (s *Session) Update(src string) (*Program, error) {
 			return nil
 		},
 	})
+	// The semantic check records its resolution on the AST it checks,
+	// so an AST a committed version's Program reads must never be
+	// checked again (a concurrent reader of that Program would race
+	// with the rewrite). It is not: the parse pass is reused only when
+	// the source equals the last successful Update's (the memo records
+	// complete runs only), and then the sem pass, whose astKey is a
+	// function of that same source, is reused too.
+	//
 	// The semantic and interprocedural passes all consume the checked
 	// AST (directly or transitively), so they share one fingerprint:
 	// the token stream. A lexical-only edit therefore reuses all of
@@ -147,10 +156,22 @@ func (s *Session) Update(src string) (*Program, error) {
 		finish func(st *driver.PassStats) error
 		use    func()
 	}{
-		{name: "sem", deps: []string{"parse"}, run: func(st *driver.PassStats) (err error) {
-			semProg, err = sem.Check(next.astProg, f)
-			return err
-		}, use: func() { semProg = prev.prog.ctx.Prog.Sem }},
+		{name: "sem", deps: []string{"parse"},
+			run: func(st *driver.PassStats) error {
+				sc = sem.Begin(next.astProg, f)
+				return nil
+			},
+			shards: func(workers int) (int, func(int)) {
+				return sc.NumProcs(), sc.CheckProc
+			},
+			finish: func(st *driver.PassStats) (err error) {
+				semProg, err = sc.Finish()
+				if err == nil {
+					st.Procs = len(semProg.Procs)
+				}
+				return err
+			},
+			use: func() { semProg = prev.prog.ctx.Prog.Sem }},
 		{name: "irbuild", deps: []string{"sem"},
 			run: func(st *driver.PassStats) error {
 				pb = irbuild.NewBuilder(semProg)

@@ -139,15 +139,19 @@ func TestSessionLoadPassReuse(t *testing.T) {
 }
 
 // TestSessionSurvivesBadUpdate asserts a failed Update keeps the
-// previous version usable.
+// previous version usable, and that retrying the same bad source fails
+// again: the failed run's parse must not be memoized, or the retry
+// would reuse the committed version's AST and check it instead.
 func TestSessionSurvivesBadUpdate(t *testing.T) {
 	src := "program p\nproc main() {\n  print 1\n}\n"
 	sess, err := fsicp.NewSession("t.mf", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Update("program p\nproc main() {\n  print undeclared\n}\n"); err == nil {
-		t.Fatal("want an error from the bad update")
+	for try := 0; try < 2; try++ {
+		if _, err := sess.Update("program p\nproc main() {\n  print undeclared\n}\n"); err == nil {
+			t.Fatalf("try %d: want an error from the bad update", try)
+		}
 	}
 	if sess.Version() != 1 {
 		t.Errorf("Version() = %d after failed update, want 1", sess.Version())
