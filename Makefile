@@ -21,7 +21,7 @@ race:
 	$(GO) test -race ./...
 
 # The full gate: the same stages CI runs (build, vet, gofmt, the
-# benchmark module, race tests, fault matrix, warm-cache, spill/delta
+# benchmark module, race tests, fault matrix, warm-cache, delta-skip
 # determinism, large corpus, allocation gate).
 check:
 	./scripts/check.sh

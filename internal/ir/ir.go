@@ -316,6 +316,47 @@ func (i *PrintInstr) Uses() []*sem.Var {
 func (i *CallInstr) Uses() []*sem.Var    { return i.Args }
 func (i *ClobberInstr) Uses() []*sem.Var { return nil }
 
+// AppendUses appends in.Uses() to dst. Uses allocates a fresh slice
+// for most instruction kinds; loops that visit every operand of a
+// function (SSA construction) reuse one buffer through this instead.
+func AppendUses(dst []*sem.Var, in Instr) []*sem.Var {
+	switch in := in.(type) {
+	case *ConstInstr, *ReadInstr, *ClobberInstr:
+		return dst
+	case *CopyInstr:
+		return append(dst, in.Src)
+	case *UnaryInstr:
+		return append(dst, in.X)
+	case *BinaryInstr:
+		return append(dst, in.X, in.Y)
+	case *CallInstr:
+		return append(dst, in.Args...)
+	}
+	return append(dst, in.Uses()...)
+}
+
+// AppendDefs appends in.Defs() to dst; see AppendUses.
+func AppendDefs(dst []*sem.Var, in Instr) []*sem.Var {
+	switch in := in.(type) {
+	case *ConstInstr:
+		return append(dst, in.Dst)
+	case *CopyInstr:
+		return append(dst, in.Dst)
+	case *UnaryInstr:
+		return append(dst, in.Dst)
+	case *BinaryInstr:
+		return append(dst, in.Dst)
+	case *ReadInstr:
+		return append(dst, in.Dst)
+	case *CallInstr:
+		if in.Dst != nil {
+			dst = append(dst, in.Dst)
+		}
+		return append(dst, in.MayDef...)
+	}
+	return append(dst, in.Defs()...)
+}
+
 func (i *ConstInstr) String() string { return i.Dst.String() + " = const " + i.Val.String() }
 func (i *CopyInstr) String() string  { return i.Dst.String() + " = " + i.Src.String() }
 func (i *UnaryInstr) String() string {
@@ -394,6 +435,22 @@ func (t *Ret) Uses() []*sem.Var {
 		return []*sem.Var{t.Val}
 	}
 	return nil
+}
+
+// AppendTermUses appends t.Uses() to dst; see AppendUses.
+func AppendTermUses(dst []*sem.Var, t Terminator) []*sem.Var {
+	switch t := t.(type) {
+	case *Jump:
+		return dst
+	case *If:
+		return append(dst, t.Cond)
+	case *Ret:
+		if t.Val != nil {
+			dst = append(dst, t.Val)
+		}
+		return dst
+	}
+	return append(dst, t.Uses()...)
 }
 
 func (t *Jump) String() string { return "jump " + t.Target.String() }

@@ -143,7 +143,7 @@ func TestFootprintScalesWithProcedure(t *testing.T) {
 		for _, p := range ctx.CG.Reachable {
 			f := ctx.Prog.FuncOf[p]
 			vars += float64(len(f.AllVars))
-			defs += float64(len(ssa.Build(f).Defs))
+			defs += float64(ssa.Build(f).NumDefs())
 		}
 		n := float64(len(ctx.CG.Reachable))
 		return vars / n, defs / n

@@ -5,10 +5,13 @@ import (
 
 	"fsicp/internal/ast"
 	"fsicp/internal/driver"
+	"fsicp/internal/icp"
 	"fsicp/internal/irbuild"
 	"fsicp/internal/progen"
+	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 	"fsicp/internal/source"
+	"fsicp/internal/ssa"
 )
 
 // FuzzParse: the parser must never panic or hang on arbitrary input.
@@ -54,6 +57,10 @@ func FuzzParse(f *testing.F) {
 // FuzzPipeline: anything that parses and checks must lower and format
 // deterministically, and the sharded semantic check must agree with
 // the serial one: the same diagnostics, or the same lowered program.
+// The lowered program then goes through the analysis: the
+// interprocedural preparation (call graph, alias, MOD/REF, clobbers),
+// an SSA overlay for every reachable procedure, which must verify, and
+// a sparse conditional constant propagation run over it.
 func FuzzPipeline(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(progen.Generate(progen.Config{Seed: seed, AllowRecursion: true, AllowFloats: true}))
@@ -100,6 +107,15 @@ func FuzzPipeline(f *testing.F) {
 		b := ast.Format(prog2)
 		if a != b {
 			t.Fatalf("format not idempotent:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+		}
+
+		ctx := icp.Prepare(ir1)
+		for _, p := range ctx.CG.Reachable {
+			s := ssa.Build(ir1.FuncOf[p])
+			if bad := s.Verify(); len(bad) > 0 {
+				t.Fatalf("%s: SSA overlay invalid: %s\n%s", p.Name, bad[0], s.Dump())
+			}
+			scc.Run(s, scc.Options{})
 		}
 	})
 }

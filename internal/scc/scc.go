@@ -71,7 +71,7 @@ type Options struct {
 // Result holds the fixpoint.
 type Result struct {
 	S      *ssa.SSA
-	Values []lattice.Elem // indexed by Definition.ID
+	Values []lattice.Elem // indexed by ssa.Def
 	// BlockExec[b.Index] reports whether block b is executable.
 	BlockExec []bool
 	// edgeExec is a bit set over from*nblocks+to keys recording which
@@ -138,7 +138,7 @@ type engine struct {
 // the buffers instead of reallocating them for every procedure.
 type scratch struct {
 	flowWork []flowEdge
-	ssaWork  []*ssa.Definition
+	ssaWork  []ssa.Def
 	visited  bitset.Set // block instruction lists evaluated once
 }
 
@@ -162,14 +162,14 @@ func Run(s *ssa.SSA, opts Options) *Result {
 		// the buffer (the pool regrows), keeping the unwind path free of
 		// half-initialised returns.
 		buf := resultPool.Get().(*resultBuf)
-		buf.values = grow(buf.values, len(s.Defs))
+		buf.values = grow(buf.values, s.NumDefs())
 		buf.blockExec = grow(buf.blockExec, nb)
 		buf.edgeExec = buf.edgeExec.Reset(nb * nb)
 		clear(buf.blockExec)
 		res.Values, res.BlockExec, res.edgeExec = buf.values, buf.blockExec, buf.edgeExec
 		res.buf = buf
 	} else {
-		res.Values = make([]lattice.Elem, len(s.Defs))
+		res.Values = make([]lattice.Elem, s.NumDefs())
 		res.BlockExec = make([]bool, nb)
 		res.edgeExec = bitset.NewAuto(nb * nb)
 	}
@@ -177,30 +177,25 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	for i := range e.res.Values {
 		e.res.Values[i] = lattice.TopElem()
 	}
-	// Seed entry definitions. A budget abort unwinds through here via
-	// panic, so the scratch is returned in a deferred put; dropping the
-	// stale definition pointers keeps a pooled buffer from pinning a
-	// dead SSA overlay in memory.
+	// Seed entry definitions, which are 0..len(AllVars)-1. A budget
+	// abort unwinds through here via panic, so the scratch is returned
+	// in a deferred put.
 	defer func() {
-		sw := sc.ssaWork[:cap(sc.ssaWork)]
-		for i := range sw {
-			sw[i] = nil
-		}
 		sc.ssaWork = sc.ssaWork[:0]
 		sc.flowWork = sc.flowWork[:0]
 		scratchPool.Put(sc)
 	}()
-	for _, d := range s.EntryDefs {
-		switch d.Var.Kind {
+	for i, v := range s.Fn.AllVars {
+		switch v.Kind {
 		case sem.KindFormal, sem.KindGlobal:
 			if opts.Entry != nil {
-				e.lower(d, opts.Entry.Get(d.Var))
+				e.lower(ssa.Def(i), opts.Entry.Get(v))
 			} else {
-				e.lower(d, lattice.BottomElem())
+				e.lower(ssa.Def(i), lattice.BottomElem())
 			}
 		default:
 			// Undefined local/temp: unknown on use-before-def.
-			e.lower(d, lattice.BottomElem())
+			e.lower(ssa.Def(i), lattice.BottomElem())
 		}
 	}
 	e.markBlock(s.Dom.RPO[0])
@@ -208,15 +203,15 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	return e.res
 }
 
-func (e *engine) value(d *ssa.Definition) lattice.Elem { return e.res.Values[d.ID] }
+func (e *engine) value(d ssa.Def) lattice.Elem { return e.res.Values[d] }
 
 // lower monotonically lowers d's value; queues its uses on change.
-func (e *engine) lower(d *ssa.Definition, v lattice.Elem) {
-	nw := lattice.Meet(e.res.Values[d.ID], v)
-	if nw.Eq(e.res.Values[d.ID]) {
+func (e *engine) lower(d ssa.Def, v lattice.Elem) {
+	nw := lattice.Meet(e.res.Values[d], v)
+	if nw.Eq(e.res.Values[d]) {
 		return
 	}
-	e.res.Values[d.ID] = nw
+	e.res.Values[d] = nw
 	e.sc.ssaWork = append(e.sc.ssaWork, d)
 }
 
@@ -247,8 +242,9 @@ func (e *engine) processEdge(edge flowEdge) {
 	b := e.s.Fn.Blocks[edge.to]
 	// φs must be re-evaluated whenever a new incoming edge becomes
 	// executable.
-	for _, phi := range e.s.Phis[b.Index] {
-		e.evalPhi(phi)
+	lo, hi := e.s.PhiDefs(b.Index)
+	for d := lo; d < hi; d++ {
+		e.evalPhi(b, d)
 	}
 	if !e.res.BlockExec[b.Index] {
 		e.markBlock(b)
@@ -261,8 +257,9 @@ func (e *engine) markBlock(b *ir.Block) {
 	}
 	e.res.BlockExec[b.Index] = true
 	if e.sc.visited.Add(b.Index) {
-		for _, phi := range e.s.Phis[b.Index] {
-			e.evalPhi(phi)
+		lo, hi := e.s.PhiDefs(b.Index)
+		for d := lo; d < hi; d++ {
+			e.evalPhi(b, d)
 		}
 		for _, in := range b.Instrs {
 			e.evalInstr(in)
@@ -271,42 +268,40 @@ func (e *engine) markBlock(b *ir.Block) {
 	}
 }
 
-func (e *engine) processUses(d *ssa.Definition) {
-	for _, u := range d.Uses {
-		switch u.Kind {
-		case ssa.UseInstr:
-			if e.res.BlockExec[u.Block.Index] {
-				e.evalInstr(u.Instr)
-			}
-		case ssa.UsePhi:
-			if e.res.BlockExec[u.Phi.Block.Index] {
-				e.evalPhi(u.Phi)
-			}
-		case ssa.UseTerm:
-			if e.res.BlockExec[u.Block.Index] {
-				e.evalTerm(u.Block)
-			}
-		}
-	}
-}
-
-func (e *engine) evalPhi(phi *Phi) {
-	e.opts.Budget.Step(1)
-	acc := lattice.TopElem()
-	for i, p := range phi.Block.Preds {
-		if !e.res.edgeExec.Has(p.Index*e.res.nblocks + phi.Block.Index) {
+func (e *engine) processUses(d ssa.Def) {
+	s := e.s
+	for u := s.FirstUse(d); u >= 0; u = s.NextUse(u) {
+		use := s.UseAt(u)
+		if !e.res.BlockExec[use.Block] {
 			continue
 		}
-		if phi.Args[i] == nil {
-			continue // predecessor unreachable during renaming
+		switch use.Kind {
+		case ssa.UseInstr:
+			e.evalInstr(s.InstrAt(use.Block, use.Site))
+		case ssa.UsePhi:
+			e.evalPhi(s.Fn.Blocks[use.Block], ssa.Def(use.Site))
+		case ssa.UseTerm:
+			e.evalTerm(s.Fn.Blocks[use.Block])
 		}
-		acc = lattice.Meet(acc, e.value(phi.Args[i]))
 	}
-	e.lower(phi.Def, acc)
 }
 
-// Phi aliases ssa.Phi for readability inside this package.
-type Phi = ssa.Phi
+// evalPhi evaluates φ definition d at the head of block b.
+func (e *engine) evalPhi(b *ir.Block, d ssa.Def) {
+	e.opts.Budget.Step(1)
+	acc := lattice.TopElem()
+	args := e.s.PhiArgs(d)
+	for i, p := range b.Preds {
+		if !e.res.edgeExec.Has(p.Index*e.res.nblocks + b.Index) {
+			continue
+		}
+		if args[i] == ssa.NoDef {
+			continue // predecessor unreachable during renaming
+		}
+		acc = lattice.Meet(acc, e.value(args[i]))
+	}
+	e.lower(d, acc)
+}
 
 func (e *engine) evalInstr(in ir.Instr) {
 	e.opts.Budget.Step(1)
@@ -337,7 +332,7 @@ func (e *engine) evalInstr(in ir.Instr) {
 		}
 		for ; k < len(defs); k++ {
 			if e.opts.CallExit != nil {
-				e.lower(defs[k], e.opts.CallExit(in, defs[k].Var))
+				e.lower(defs[k], e.opts.CallExit(in, e.s.Var(defs[k])))
 			} else {
 				e.lower(defs[k], lattice.BottomElem())
 			}
@@ -385,7 +380,7 @@ func (e *engine) evalTerm(b *ir.Block) {
 	case *ir.Jump:
 		e.addEdge(b, t.Target)
 	case *ir.If:
-		cond := e.value(e.s.TermUses[b.Index][0])
+		cond := e.value(e.s.TermUses(b.Index)[0])
 		switch {
 		case cond.IsTop():
 			// not yet known; wait
@@ -407,7 +402,7 @@ func (e *engine) evalTerm(b *ir.Block) {
 // --- Result queries -----------------------------------------------------
 
 // ValueOf returns the fixpoint value of a definition.
-func (r *Result) ValueOf(d *ssa.Definition) lattice.Elem { return r.Values[d.ID] }
+func (r *Result) ValueOf(d ssa.Def) lattice.Elem { return r.Values[d] }
 
 // Reachable reports whether the call instruction's block is executable.
 func (r *Result) Reachable(call *ir.CallInstr) bool {
@@ -421,7 +416,7 @@ func (r *Result) ArgValue(call *ir.CallInstr, i int) lattice.Elem {
 	if !r.Reachable(call) {
 		return lattice.TopElem()
 	}
-	return r.Values[r.S.UsesOf(call)[i].ID]
+	return r.Values[r.S.UsesOf(call)[i]]
 }
 
 // GlobalValueAtCall returns the lattice value of global g immediately
@@ -431,8 +426,8 @@ func (r *Result) GlobalValueAtCall(call *ir.CallInstr, g *sem.Var) lattice.Elem 
 	if !r.Reachable(call) {
 		return lattice.TopElem()
 	}
-	if d := r.S.GlobalAtCall(call, g); d != nil {
-		return r.Values[d.ID]
+	if d := r.S.GlobalAtCall(call, g); d != ssa.NoDef {
+		return r.Values[d]
 	}
 	return lattice.BottomElem()
 }
@@ -446,7 +441,7 @@ func (r *Result) ReturnValue() lattice.Elem {
 			continue
 		}
 		if t, ok := b.Term.(*ir.Ret); ok && t.Val != nil {
-			acc = lattice.Meet(acc, r.Values[r.S.TermUses[b.Index][0].ID])
+			acc = lattice.Meet(acc, r.Values[r.S.TermUses(b.Index)[0]])
 		}
 	}
 	return acc
@@ -463,11 +458,12 @@ func (r *Result) ExitValue(v *sem.Var) lattice.Elem {
 		return lattice.BottomElem()
 	}
 	acc := lattice.TopElem()
-	for bi, snap := range r.S.RetSnapshots {
-		if snap == nil || !r.BlockExec[bi] {
+	for bi, exec := range r.BlockExec {
+		snap := r.S.RetSnapshot(bi)
+		if snap == nil || !exec {
 			continue
 		}
-		acc = lattice.Meet(acc, r.Values[snap[vi].ID])
+		acc = lattice.Meet(acc, r.Values[snap[vi]])
 	}
 	return acc
 }

@@ -9,66 +9,71 @@ import "fsicp/internal/ir"
 //
 // The contract throughout: the rewritten instruction keeps its dense
 // InstrID (ir.TransferID), so every ID-indexed table stays valid, and
-// the *Definition objects it creates are reused — their IDs, lattice
-// values, and use lists survive, only their Instr pointer moves. A pass
-// that changes the CFG itself (branch folding) must still rebuild.
+// the definitions it creates are reused — their IDs, lattice values,
+// and use chains survive. A pass that changes the CFG itself (branch
+// folding) must still rebuild.
 
-// removeInstrUse deletes one use record of in from d's use list.
-func removeInstrUse(d *Definition, in ir.Instr) {
-	for i, u := range d.Uses {
-		if u.Kind == UseInstr && u.Instr == in {
-			d.Uses = append(d.Uses[:i], d.Uses[i+1:]...)
-			return
+// removeUse unlinks the first use record on d's chain that match
+// accepts.
+func (s *SSA) removeUse(d Def, match func(Use) bool) {
+	prev := int32(-1)
+	for u := s.useHead[d]; u >= 0; prev, u = u, s.useNext[u] {
+		if !match(s.uses[u]) {
+			continue
 		}
+		next := s.useNext[u]
+		if prev < 0 {
+			s.useHead[d] = next
+		} else {
+			s.useNext[prev] = next
+		}
+		if s.useTail[d] == u {
+			s.useTail[d] = prev
+		}
+		return
 	}
 }
 
-// removeTermUse deletes one terminator use record in block b from d's
-// use list.
-func removeTermUse(d *Definition, b *ir.Block) {
-	for i, u := range d.Uses {
-		if u.Kind == UseTerm && u.Block == b {
-			d.Uses = append(d.Uses[:i], d.Uses[i+1:]...)
-			return
-		}
-	}
+// removeInstrUse unlinks one use of d by instruction id.
+func (s *SSA) removeInstrUse(d Def, id int32) {
+	s.removeUse(d, func(u Use) bool { return u.Kind == UseInstr && u.Site == id })
 }
 
 // detachOperands unlinks every operand use of b.Instrs[idx] and returns
-// the instruction and its ID. Shared prologue of the RewriteTo* pair.
-func (s *SSA) detachOperands(b *ir.Block, idx int) (ir.Instr, int) {
+// the instruction and its span. Shared prologue of the RewriteTo* pair.
+func (s *SSA) detachOperands(b *ir.Block, idx int) (ir.Instr, *instrSpan) {
 	old := b.Instrs[idx]
-	id := old.InstrID()
-	for _, d := range s.useDefs[id] {
-		removeInstrUse(d, old)
+	id := int32(old.InstrID())
+	sp := &s.instrs[id]
+	for _, d := range s.refs[sp.uses:sp.globals] {
+		s.removeInstrUse(d, id)
 	}
-	return old, id
+	return old, sp
 }
 
 // RewriteToConst replaces b.Instrs[idx] — a single-def instruction —
-// with nc, transferring the instruction ID and the dst Definition. The
+// with nc, transferring the instruction ID and the dst definition. The
 // old instruction's operand uses are unlinked; the definition keeps its
 // ID, value, and uses.
 func (s *SSA) RewriteToConst(b *ir.Block, idx int, nc *ir.ConstInstr) {
-	old, id := s.detachOperands(b, idx)
+	old, sp := s.detachOperands(b, idx)
 	ir.TransferID(old, nc)
-	s.useDefs[id] = nil
-	d := s.instrDefs[id][0]
-	d.Instr = nc
-	d.DefIdx = 0
+	sp.uses = sp.globals
 	b.Instrs[idx] = nc
 }
 
-// RewriteToCopy replaces b.Instrs[idx] — a single-def instruction —
-// with the copy nc, whose source operand's reaching definition is src.
-func (s *SSA) RewriteToCopy(b *ir.Block, idx int, nc *ir.CopyInstr, src *Definition) {
-	old, id := s.detachOperands(b, idx)
+// RewriteToCopy replaces b.Instrs[idx] — a single-def instruction with
+// at least one operand — with the copy nc, whose source operand's
+// reaching definition is src.
+func (s *SSA) RewriteToCopy(b *ir.Block, idx int, nc *ir.CopyInstr, src Def) {
+	old, sp := s.detachOperands(b, idx)
+	if sp.uses == sp.globals {
+		panic("ssa: RewriteToCopy of an instruction without operands")
+	}
 	ir.TransferID(old, nc)
-	s.useDefs[id] = []*Definition{src}
-	src.Uses = append(src.Uses, Use{Kind: UseInstr, Instr: nc, Block: b})
-	d := s.instrDefs[id][0]
-	d.Instr = nc
-	d.DefIdx = 0
+	sp.uses = sp.globals - 1
+	s.refs[sp.uses] = src
+	s.addUse(src, Use{Kind: UseInstr, Block: int32(b.Index), Site: int32(nc.InstrID())})
 	b.Instrs[idx] = nc
 }
 
@@ -76,54 +81,64 @@ func (s *SSA) RewriteToCopy(b *ir.Block, idx int, nc *ir.CopyInstr, src *Definit
 // read nd's variable, with nd as its reaching definition. The caller
 // must have established that nd's value equals the old operand's on
 // every path reaching the use (copy propagation's validity condition).
-func (s *SSA) ReplaceUseOperand(b *ir.Block, in ir.Instr, k int, nd *Definition) {
-	id := in.InstrID()
-	removeInstrUse(s.useDefs[id][k], in)
-	ir.SetUse(in, k, nd.Var)
-	s.useDefs[id][k] = nd
-	nd.Uses = append(nd.Uses, Use{Kind: UseInstr, Instr: in, Block: b})
+func (s *SSA) ReplaceUseOperand(b *ir.Block, in ir.Instr, k int, nd Def) {
+	id := int32(in.InstrID())
+	slot := s.instrs[id].uses + int32(k)
+	s.removeInstrUse(s.refs[slot], id)
+	ir.SetUse(in, k, s.Var(nd))
+	s.refs[slot] = nd
+	s.addUse(nd, Use{Kind: UseInstr, Block: int32(b.Index), Site: id})
 }
 
 // ReplaceTermOperand is ReplaceUseOperand for b's terminator.
-func (s *SSA) ReplaceTermOperand(b *ir.Block, k int, nd *Definition) {
-	removeTermUse(s.TermUses[b.Index][k], b)
-	ir.SetTermUse(b.Term, k, nd.Var)
-	s.TermUses[b.Index][k] = nd
-	nd.Uses = append(nd.Uses, Use{Kind: UseTerm, Block: b})
+func (s *SSA) ReplaceTermOperand(b *ir.Block, k int, nd Def) {
+	bi := int32(b.Index)
+	slot := s.blocks[bi].term + int32(k)
+	s.removeUse(s.refs[slot], func(u Use) bool { return u.Kind == UseTerm && u.Block == bi })
+	ir.SetTermUse(b.Term, k, s.Var(nd))
+	s.refs[slot] = nd
+	s.addUse(nd, Use{Kind: UseTerm, Block: bi, Site: -1})
 }
 
 // RenumberInstrs renumbers the function after instructions moved
-// between blocks (LICM) and rebuilds the ID-indexed tables under the
-// new numbering. Block membership and the CFG must be unchanged apart
-// from the moves, and every moved Definition's Block field must already
-// point at its new home.
+// between blocks (LICM) and rebuilds every table keyed by instruction
+// ID or holding an instruction's block: the spans, the defining
+// instruction and block of every instruction definition, and the
+// instruction use records. Block membership and the CFG must be
+// unchanged apart from the moves.
 func (s *SSA) RenumberInstrs() {
-	type saved struct {
-		in      ir.Instr
-		uses    []*Definition
-		defs    []*Definition
-		globals []*Definition
+	type site struct{ id, blk int32 }
+	remap := make([]site, len(s.instrs))
+	for i := range remap {
+		remap[i] = site{-1, -1}
 	}
-	var list []saved
+	n := 0
 	for _, b := range s.Fn.Blocks {
+		n += len(b.Instrs)
+	}
+	spans := make([]instrSpan, n)
+	id := int32(0)
+	for bi, b := range s.Fn.Blocks {
+		s.blocks[bi].first = id
 		for _, in := range b.Instrs {
-			sv := saved{in: in}
-			if id := in.InstrID(); id >= 0 && id < len(s.useDefs) {
-				sv.uses = s.useDefs[id]
-				sv.defs = s.instrDefs[id]
-				sv.globals = s.globalsAtCall[id]
+			if old := in.InstrID(); old >= 0 && old < len(remap) {
+				spans[id] = s.instrs[old]
+				remap[old] = site{id, int32(bi)}
 			}
-			list = append(list, sv)
+			id++
 		}
 	}
-	n := s.Fn.NumberInstrs()
-	s.useDefs = make([][]*Definition, n)
-	s.instrDefs = make([][]*Definition, n)
-	s.globalsAtCall = make([][]*Definition, n)
-	for _, sv := range list {
-		id := sv.in.InstrID()
-		s.useDefs[id] = sv.uses
-		s.instrDefs[id] = sv.defs
-		s.globalsAtCall[id] = sv.globals
+	s.Fn.NumberInstrs()
+	s.instrs = spans
+	for i, old := range s.defInstr {
+		if old >= 0 && remap[old].id >= 0 {
+			s.defInstr[i], s.defBlock[i] = remap[old].id, remap[old].blk
+		}
+	}
+	for i := range s.uses {
+		u := &s.uses[i]
+		if u.Kind == UseInstr && remap[u.Site].id >= 0 {
+			u.Site, u.Block = remap[u.Site].id, remap[u.Site].blk
+		}
 	}
 }

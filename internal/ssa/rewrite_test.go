@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fsicp/internal/ir"
+	"fsicp/internal/sem"
 	"fsicp/internal/ssa"
 	"fsicp/internal/testutil"
 	"fsicp/internal/val"
@@ -67,16 +68,14 @@ func TestRewriteToConst(t *testing.T) {
 	if nc.InstrID() != oldID {
 		t.Errorf("InstrID not transferred: got %d want %d", nc.InstrID(), oldID)
 	}
-	if d.Instr != nc || len(s.DefsOf(nc)) != 1 || s.DefsOf(nc)[0] != d {
+	if s.Instr(d) != nc || len(s.DefsOf(nc)) != 1 || s.DefsOf(nc)[0] != d {
 		t.Error("definition not re-pointed at the new instruction")
 	}
 	// The old operand defs must no longer list the rewritten
 	// instruction as a use.
 	for _, od := range operands {
-		for _, u := range od.Uses {
-			if u.Kind == ssa.UseInstr && u.Instr == ir.Instr(nc) {
-				t.Errorf("stale use of %s survived the rewrite", od)
-			}
+		if instrUse(s, od, oldID) {
+			t.Errorf("stale use of %s survived the rewrite", s.DefString(od))
 		}
 	}
 	if n := len(s.UsesOf(nc)); n != 0 {
@@ -92,15 +91,8 @@ func TestRewriteToCopy(t *testing.T) {
 	b, idx, bi := findBinary(t, f)
 	a := testutil.VarByName(t, f, "a")
 	// Source definition: the read of a (its only non-entry def).
-	var src *ssa.Definition
-	for _, in := range f.Entry().Instrs {
-		for _, d := range s.DefsOf(in) {
-			if d.Var == a {
-				src = d
-			}
-		}
-	}
-	if src == nil {
+	src := defOf(s, f.Entry(), a)
+	if src == ssa.NoDef {
 		t.Fatalf("no def of a:\n%s", s.Dump())
 	}
 
@@ -112,13 +104,7 @@ func TestRewriteToCopy(t *testing.T) {
 	if len(uds) != 1 || uds[0] != src {
 		t.Fatalf("copy operand defs = %v, want [def of a]", uds)
 	}
-	found := false
-	for _, u := range src.Uses {
-		if u.Kind == ssa.UseInstr && u.Instr == ir.Instr(nc) {
-			found = true
-		}
-	}
-	if !found {
+	if !instrUse(s, src, nc.InstrID()) {
 		t.Error("source def does not list the new copy as a use")
 	}
 }
@@ -130,14 +116,7 @@ func TestReplaceUseOperand(t *testing.T) {
 
 	b, _, bi := findBinary(t, f)
 	a := testutil.VarByName(t, f, "a")
-	var src *ssa.Definition
-	for _, in := range f.Entry().Instrs {
-		for _, d := range s.DefsOf(in) {
-			if d.Var == a {
-				src = d
-			}
-		}
-	}
+	src := defOf(s, f.Entry(), a)
 	old := s.UsesOf(bi)[0] // def of b (the copy b = a)
 
 	// Simulate copy propagation: c = b + 3 becomes c = a + 3.
@@ -150,10 +129,8 @@ func TestReplaceUseOperand(t *testing.T) {
 	if bi.X != a {
 		t.Errorf("IR operand not rewritten: %v", bi.X)
 	}
-	for _, u := range old.Uses {
-		if u.Kind == ssa.UseInstr && u.Instr == ir.Instr(bi) {
-			t.Error("old operand def still lists the instruction as a use")
-		}
+	if instrUse(s, old, bi.InstrID()) {
+		t.Error("old operand def still lists the instruction as a use")
 	}
 }
 
@@ -191,7 +168,6 @@ proc main() {
 	moved := from.Instrs[0]
 	from.Instrs = from.Instrs[1:]
 	f.Entry().Instrs = append(f.Entry().Instrs, moved)
-	s.DefsOf(moved)[0].Block = f.Entry()
 
 	s.RenumberInstrs()
 	mustVerify(t, s, "after RenumberInstrs")
@@ -207,7 +183,21 @@ proc main() {
 		}
 	}
 	// Dense tables must still resolve the moved instruction.
-	if d := s.DefsOf(moved); len(d) != 1 || d[0].Instr != moved {
+	if d := s.DefsOf(moved); len(d) != 1 || s.Instr(d[0]) != moved || s.Block(d[0]) != f.Entry() {
 		t.Error("moved instruction lost its definition mapping")
 	}
+}
+
+// defOf returns the last definition of v an instruction of b creates,
+// or NoDef.
+func defOf(s *ssa.SSA, b *ir.Block, v *sem.Var) ssa.Def {
+	src := ssa.NoDef
+	for _, in := range b.Instrs {
+		for _, d := range s.DefsOf(in) {
+			if s.Var(d) == v {
+				src = d
+			}
+		}
+	}
+	return src
 }

@@ -5,8 +5,8 @@
 //
 // The representation is "overlay" SSA: the underlying ir instructions
 // are untouched; this package records, for every instruction operand,
-// which Definition reaches it, and for every instruction, the
-// Definitions it creates. Call instructions define their may-modified
+// which definition reaches it, and for every instruction, the
+// definitions it creates. Call instructions define their may-modified
 // variables (ir.CallInstr.MayDef, filled by the modref phase), which is
 // how interprocedural kills become visible to the intraprocedural
 // propagator.
@@ -20,6 +20,14 @@
 // global, which the flow-sensitive ICP uses to read "the value of
 // global g at this call site" — the callee's REF is a subset of the
 // caller's, so every global a call site is asked about is tracked.
+//
+// Definitions are dense per-function int32 IDs (Def), the layout the Go
+// compiler uses for its Value.ID: entry definitions are 0..len(AllVars)-1
+// and own no storage, φ definitions follow grouped by block, then the
+// instruction definitions in renaming order. Every table is a slice of
+// integers, so a resident overlay costs the garbage collector nothing
+// to scan; accessors recover *sem.Var, *ir.Block and ir.Instr from the
+// function's own tables.
 package ssa
 
 import (
@@ -32,8 +40,15 @@ import (
 	"fsicp/internal/sem"
 )
 
-// DefKind classifies a Definition.
-type DefKind int
+// Def is a definition ID, dense within one function's overlay.
+type Def int32
+
+// NoDef marks an absent definition: a φ argument from a predecessor
+// the renamer never reached, or a lookup outside the overlay.
+const NoDef Def = -1
+
+// DefKind classifies a definition.
+type DefKind uint8
 
 const (
 	// DefEntry is the implicit definition of a variable at procedure
@@ -46,103 +61,71 @@ const (
 	DefPhi
 )
 
-// Definition is one SSA definition of a variable.
-type Definition struct {
-	ID    int
-	Var   *sem.Var
-	Kind  DefKind
-	Block *ir.Block // nil for entry defs (conceptually the entry block)
-
-	// Instr is the defining instruction (DefInstr only) and DefIdx its
-	// position within Instr.Defs().
-	Instr  ir.Instr
-	DefIdx int
-
-	// Phi is set for DefPhi.
-	Phi *Phi
-
-	// Uses lists every use site of this definition.
-	Uses []Use
-}
-
-func (d *Definition) String() string {
-	return d.Var.String() + "@" + strconv.Itoa(d.ID)
-}
-
-// Phi is a φ-function for Var at the head of Block; Args is parallel to
-// Block.Preds.
-type Phi struct {
-	Def   *Definition
-	Var   *sem.Var
-	Block *ir.Block
-	Args  []*Definition
-}
-
 // UseKind classifies a use site.
-type UseKind int
+type UseKind uint8
 
 const (
 	UseInstr UseKind = iota // operand of an instruction
-	UsePhi                  // operand of a φ
+	UsePhi                  // argument of a φ
 	UseTerm                 // operand of a terminator
 )
 
 // Use is one use site of a definition.
 type Use struct {
-	Kind  UseKind
-	Instr ir.Instr  // UseInstr
-	Phi   *Phi      // UsePhi
-	PhiIx int       // which φ argument (i.e. which predecessor edge)
-	Block *ir.Block // UseTerm and UsePhi; for UseInstr, the instr's block
+	Kind UseKind
+	// Block is the index of the block holding the using instruction or
+	// terminator; for UsePhi, the φ's block.
+	Block int32
+	// Site is the using instruction's ID (UseInstr) or the φ's
+	// definition (UsePhi).
+	Site int32
+	// Arg is the φ argument, i.e. the predecessor edge (UsePhi).
+	Arg int32
 }
+
+// instrSpan locates one instruction's tables in SSA.refs: the reaching
+// definitions of its operands, the tracked globals' reaching
+// definitions just before it (calls only), and the definitions it
+// creates. Spans are independent of each other, so a rewrite can
+// shrink one instruction's operand range in place.
+type instrSpan struct{ uses, globals, defs, end int32 }
+
+// blockSpan holds one block's tables: the ID of its first instruction
+// (instructions are numbered in block order), its φ indices, and the
+// ranges of SSA.refs holding its terminator's operand definitions and,
+// for a return block, the reaching definition of every variable.
+type blockSpan struct{ first, phiLo, phiHi, term, ret, end int32 }
 
 // SSA is the SSA overlay for one function.
 type SSA struct {
 	Fn  *ir.Func
 	Dom *dom.Tree
 
-	// EntryDefs[i] is the entry definition of Fn.AllVars[i].
-	EntryDefs []*Definition
+	nvars int32 // entry definitions are 0..nvars-1
 
-	// Phis[b.Index] lists the φ-functions at the head of block b.
-	Phis [][]*Phi
+	// Definition d ≥ nvars is described at d-nvars: its variable's
+	// AllVars ordinal, its block index, and its instruction ID (-1 for
+	// a φ). φ i is definition nvars+i.
+	defVar   []int32
+	defBlock []int32
+	defInstr []int32
 
-	// useDefs[instr.InstrID()][k] is the reaching definition of
-	// instr.Uses()[k]; read it through UsesOf.
-	useDefs [][]*Definition
+	// φ i's arguments, parallel to its block's Preds, are
+	// phiArgs[phiArgOff[i]:phiArgOff[i+1]].
+	phiArgOff []int32
+	phiArgs   []Def
 
-	// instrDefs[instr.InstrID()][k] is the Definition for
-	// instr.Defs()[k]; read it through DefsOf.
-	instrDefs [][]*Definition
+	// refs holds every reaching-definition table the spans locate.
+	refs   []Def
+	instrs []instrSpan // by instruction ID
+	blocks []blockSpan // by block index
 
-	// TermUses[b.Index][k] is the reaching definition of
-	// b.Term.Uses()[k].
-	TermUses [][]*Definition
-
-	// globalsAtCall[call.InstrID()] holds, per tracked global (indexed
-	// like Fn.Globals()), the reaching definition of that global
-	// immediately before the call; read it through GlobalAtCall.
-	globalsAtCall [][]*Definition
-
-	// RetSnapshots[b.Index], for a block ending in a Ret, holds the
-	// reaching definition of every variable (indexed like Fn.AllVars)
-	// at the return point (nil for non-return blocks). The
-	// return-constant extension reads formal and global exit values
-	// from it.
-	RetSnapshots [][]*Definition
-
-	// Defs is every Definition, indexed by ID.
-	Defs []*Definition
-
-	// defArena holds every Definition in one exactly sized allocation
-	// rather than one per definition. Definitions escape into the
-	// overlay (Defs, tables), so the arena lives exactly as long as the
-	// SSA itself.
-	defArena []Definition
-	// defBacking is sliced out to the per-instruction use/def tables;
-	// one backing array replaces two small slice allocations per
-	// instruction.
-	defBacking []*Definition
+	// Def→use chains, in the order the uses were recorded: useHead and
+	// useTail per definition, useNext per use record (-1 ends a chain).
+	useHead []int32
+	useTail []int32
+	uses    []Use
+	useNext []int32
 }
 
 // Build constructs SSA form for fn.
@@ -152,117 +135,98 @@ type SSA struct {
 // so concurrent builds over a shared program are safe. The renumbering
 // fallback below fires only for hand-assembled functions that never
 // went through those paths.
+//
+// Every table is sized by one counting pass over the reachable blocks
+// before it is filled, so the number of allocations does not grow with
+// the function.
 func Build(fn *ir.Func) *SSA {
 	n := fn.NumInstrs
 	if !fn.Numbered() {
 		n = fn.NumberInstrs()
 	}
-	s := &SSA{
-		Fn:            fn,
-		Dom:           dom.New(fn),
-		useDefs:       make([][]*Definition, n),
-		instrDefs:     make([][]*Definition, n),
-		globalsAtCall: make([][]*Definition, n),
+	nvars := len(fn.AllVars)
+	s := &SSA{Fn: fn, Dom: dom.New(fn), nvars: int32(nvars)}
+	s.instrs = make([]instrSpan, n)
+	s.blocks = make([]blockSpan, len(fn.Blocks))
+	first := int32(0)
+	for i, b := range fn.Blocks {
+		s.blocks[i].first = first
+		first += int32(len(b.Instrs))
 	}
-	s.Phis = make([][]*Phi, len(fn.Blocks))
-	s.TermUses = make([][]*Definition, len(fn.Blocks))
-	s.RetSnapshots = make([][]*Definition, len(fn.Blocks))
 
-	// Place φs first, so the definition arena can be sized exactly:
-	// entry defs + instruction defs + φ defs. The pointer backing array
-	// holds the per-instruction def/use tables, the per-call global
-	// snapshots and the per-return variable snapshots; counting them
-	// over every block (rename visits only the reachable ones) bounds
-	// it from above.
-	phis := s.placePhis()
+	// Counting pass: definitions per variable (the φ placement's
+	// def-block lists), instruction definitions, reaching-definition
+	// slots and use records.
+	var buf []*sem.Var
 	nglobals := len(fn.Globals())
-	defSlots := len(fn.AllVars) + len(phis)
-	ptrSlots := 0
-	for _, b := range fn.Blocks {
+	defOff := make([]int32, nvars+1)
+	nrefs, nuses := 0, 0
+	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
-			nd := len(in.Defs())
-			defSlots += nd
-			ptrSlots += nd + len(in.Uses())
+			buf = ir.AppendUses(buf[:0], in)
+			nrefs += len(buf)
+			nuses += len(buf)
 			if _, ok := in.(*ir.CallInstr); ok {
-				ptrSlots += nglobals
+				nrefs += nglobals
+			}
+			buf = ir.AppendDefs(buf[:0], in)
+			nrefs += len(buf)
+			for _, v := range buf {
+				defOff[fn.VarOrd(v)+1]++
 			}
 		}
 		if b.Term != nil {
-			ptrSlots += len(b.Term.Uses())
+			buf = ir.AppendTermUses(buf[:0], b.Term)
+			nrefs += len(buf)
+			nuses += len(buf)
 			if _, isRet := b.Term.(*ir.Ret); isRet {
-				ptrSlots += len(fn.AllVars)
+				nrefs += nvars
 			}
 		}
 	}
-	s.defArena = make([]Definition, 0, defSlots)
-	s.defBacking = make([]*Definition, 0, ptrSlots)
-	s.Defs = make([]*Definition, 0, defSlots)
-
-	for _, phi := range phis {
-		phi.Def = s.newDef(phi.Var, DefPhi)
-		phi.Def.Phi = phi
-		phi.Def.Block = phi.Block
+	for i := 0; i < nvars; i++ {
+		defOff[i+1] += defOff[i]
 	}
-	s.rename()
-	s.defBacking = nil
+	ninstrDefs := int(defOff[nvars])
+
+	s.placePhis(defOff, ninstrDefs, buf)
+	ndefs := nvars + len(s.defVar) + ninstrDefs
+	s.refs = make([]Def, 0, nrefs)
+	nuses += len(s.phiArgs)
+	s.uses = make([]Use, 0, nuses)
+	s.useNext = make([]int32, 0, nuses)
+	s.useHead = make([]int32, ndefs)
+	s.useTail = make([]int32, ndefs)
+	for i := range s.useHead {
+		s.useHead[i], s.useTail[i] = -1, -1
+	}
+	s.rename(buf)
 	return s
 }
 
-// newDef appends a definition to the arena. Build sizes the arena
-// exactly, so the append never moves it.
-func (s *SSA) newDef(v *sem.Var, kind DefKind) *Definition {
-	s.defArena = append(s.defArena, Definition{ID: len(s.Defs), Var: v, Kind: kind})
-	d := &s.defArena[len(s.defArena)-1]
-	s.Defs = append(s.Defs, d)
-	return d
-}
-
-// slice carves a fresh n-slot slice out of the shared backing array,
-// which Build sizes for every table rename fills.
-func (s *SSA) slice(n int) []*Definition {
-	if n == 0 {
-		return nil
-	}
-	off := len(s.defBacking)
-	s.defBacking = s.defBacking[:off+n]
-	return s.defBacking[off : off+n : off+n]
-}
-
-// UsesOf returns the reaching definitions of in's operands (parallel
-// to in.Uses()), or nil for an instruction outside this overlay.
-func (s *SSA) UsesOf(in ir.Instr) []*Definition {
-	id := in.InstrID()
-	if id < 0 || id >= len(s.useDefs) {
-		return nil
-	}
-	return s.useDefs[id]
-}
-
-// DefsOf returns the definitions in creates (parallel to in.Defs()),
-// or nil for an instruction outside this overlay.
-func (s *SSA) DefsOf(in ir.Instr) []*Definition {
-	id := in.InstrID()
-	if id < 0 || id >= len(s.instrDefs) {
-		return nil
-	}
-	return s.instrDefs[id]
-}
-
-// placePhis inserts φ-functions using iterated dominance frontiers and
-// returns them in placement order; Build gives them their definitions.
-// The placed-φ and worklist membership sets are bitsets keyed by
-// block*nvars+var and block index — the dense layout replaces two
-// maps rebuilt for every procedure.
-func (s *SSA) placePhis() []*Phi {
+// placePhis inserts φ-functions using iterated dominance frontiers.
+// defOff[v]..defOff[v+1] counts variable v's instruction definitions;
+// the def-block lists are laid out in one array at those offsets. The
+// placed φs are numbered grouped by block — in variable order within a
+// block, the order the per-variable placement loop visits them — and
+// their variable and block fill the first entries of the definition
+// tables, allocated with room for the ninstrDefs instruction
+// definitions renaming appends. The placed-φ and worklist membership
+// sets are bitsets keyed by block*nvars+var and block index.
+func (s *SSA) placePhis(defOff []int32, ninstrDefs int, buf []*sem.Var) {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
 	nblocks := len(fn.Blocks)
-	defBlocks := make([][]*ir.Block, nvars)
+	defBlocks := make([]*ir.Block, defOff[nvars])
+	fill := make([]int32, nvars)
+	copy(fill, defOff[:nvars])
 	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
-			for _, v := range in.Defs() {
+			buf = ir.AppendDefs(buf[:0], in)
+			for _, v := range buf {
 				i := fn.VarOrd(v)
-				defBlocks[i] = append(defBlocks[i], b)
+				defBlocks[fill[i]] = b
+				fill[i]++
 			}
 		}
 	}
@@ -273,9 +237,10 @@ func (s *SSA) placePhis() []*Phi {
 	hasPhi := bitset.NewAuto(nblocks * nvars)
 	inWork := bitset.New(nblocks)
 	var work []*ir.Block
-	var placed []*Phi
+	var placed []int32 // block, var pairs in placement order
+	phiCount := make([]int32, nblocks+1)
 	for vi := 0; vi < nvars; vi++ {
-		work = append(work[:0], defBlocks[vi]...)
+		work = append(work[:0], defBlocks[defOff[vi]:defOff[vi+1]]...)
 		// Every variable also has its entry definition in the entry
 		// block.
 		work = append(work, s.Dom.RPO[0])
@@ -290,114 +255,148 @@ func (s *SSA) placePhis() []*Phi {
 				if !hasPhi.Add(f.Index*nvars + vi) {
 					continue
 				}
-				phi := &Phi{Var: fn.AllVars[vi], Block: f, Args: make([]*Definition, len(f.Preds))}
-				s.Phis[f.Index] = append(s.Phis[f.Index], phi)
-				placed = append(placed, phi)
+				placed = append(placed, int32(f.Index), int32(vi))
+				phiCount[f.Index+1]++
 				if inWork.Add(f.Index) {
 					work = append(work, f)
 				}
 			}
 		}
 	}
-	return placed
+	for b := 0; b < nblocks; b++ {
+		phiCount[b+1] += phiCount[b]
+		s.blocks[b].phiLo = phiCount[b]
+		s.blocks[b].phiHi = phiCount[b]
+	}
+	nphis := len(placed) / 2
+	s.defVar = make([]int32, nphis, nphis+ninstrDefs)
+	s.defBlock = make([]int32, nphis, nphis+ninstrDefs)
+	s.defInstr = make([]int32, nphis, nphis+ninstrDefs)
+	for k := 0; k < len(placed); k += 2 {
+		b, vi := placed[k], placed[k+1]
+		i := s.blocks[b].phiHi
+		s.blocks[b].phiHi++
+		s.defVar[i], s.defBlock[i], s.defInstr[i] = vi, b, -1
+	}
+	s.phiArgOff = make([]int32, nphis+1)
+	for i := 0; i < nphis; i++ {
+		s.phiArgOff[i+1] = s.phiArgOff[i] + int32(len(fn.Blocks[s.defBlock[i]].Preds))
+	}
+	s.phiArgs = make([]Def, s.phiArgOff[nphis])
+	for i := range s.phiArgs {
+		s.phiArgs[i] = NoDef
+	}
 }
 
-// rename walks the dominator tree assigning reaching definitions.
-func (s *SSA) rename() {
+// rename walks the dominator tree assigning reaching definitions. The
+// current reaching definition of every variable lives in one slice;
+// each definition pushed in a block logs the value it shadowed, and
+// leaving the block's subtree unwinds the log to the block's mark. The
+// walk is iterative but visits blocks — and so records uses — in the
+// order of a recursive preorder walk over the dominator children.
+func (s *SSA) rename(buf []*sem.Var) {
 	fn := s.Fn
-	nvars := len(fn.AllVars)
+	nvars := s.nvars
 	globals := fn.Globals()
-	stacks := make([][]*Definition, nvars)
-
-	s.EntryDefs = make([]*Definition, nvars)
-	for i, v := range fn.AllVars {
-		d := s.newDef(v, DefEntry)
-		s.EntryDefs[i] = d
-		stacks[i] = append(stacks[i], d)
+	cur := make([]Def, nvars)
+	for i := range cur {
+		cur[i] = Def(i)
+	}
+	type shadow struct {
+		vi   int32
+		prev Def
+	}
+	log := make([]shadow, 0, cap(s.defVar))
+	push := func(vi int32, d Def) {
+		log = append(log, shadow{vi, cur[vi]})
+		cur[vi] = d
 	}
 
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		pushed := make([]int, 0, 8)
-		push := func(d *Definition) {
-			vi := fn.VarOrd(d.Var)
-			stacks[vi] = append(stacks[vi], d)
-			pushed = append(pushed, vi)
-		}
-		top := func(v *sem.Var) *Definition {
-			st := stacks[fn.VarOrd(v)]
-			return st[len(st)-1]
-		}
-
-		for _, phi := range s.Phis[b.Index] {
-			phi.Def.Block = b
-			push(phi.Def)
+	visit := func(b *ir.Block) {
+		bi := int32(b.Index)
+		bs := &s.blocks[bi]
+		for p := bs.phiLo; p < bs.phiHi; p++ {
+			push(s.defVar[p], Def(nvars+p))
 		}
 		for _, in := range b.Instrs {
-			id := in.InstrID()
-			uses := in.Uses()
-			uds := s.slice(len(uses))
-			for k, v := range uses {
-				d := top(v)
-				uds[k] = d
-				d.Uses = append(d.Uses, Use{Kind: UseInstr, Instr: in, Block: b})
+			id := int32(in.InstrID())
+			sp := &s.instrs[id]
+			sp.uses = int32(len(s.refs))
+			buf = ir.AppendUses(buf[:0], in)
+			for _, v := range buf {
+				d := cur[fn.VarOrd(v)]
+				s.refs = append(s.refs, d)
+				s.addUse(d, Use{Kind: UseInstr, Block: bi, Site: id})
 			}
-			s.useDefs[id] = uds
-
+			sp.globals = int32(len(s.refs))
 			if _, ok := in.(*ir.CallInstr); ok {
-				snap := s.slice(len(globals))
-				for k, g := range globals {
-					snap[k] = top(g)
+				for _, g := range globals {
+					s.refs = append(s.refs, cur[fn.VarOrd(g)])
 				}
-				s.globalsAtCall[id] = snap
 			}
-
-			defs := in.Defs()
-			ids := s.slice(len(defs))
-			for k, v := range defs {
-				d := s.newDef(v, DefInstr)
-				d.Instr = in
-				d.DefIdx = k
-				d.Block = b
-				ids[k] = d
-				push(d)
+			sp.defs = int32(len(s.refs))
+			buf = ir.AppendDefs(buf[:0], in)
+			for _, v := range buf {
+				vi := int32(fn.VarOrd(v))
+				d := Def(nvars) + Def(len(s.defVar))
+				s.defVar = append(s.defVar, vi)
+				s.defBlock = append(s.defBlock, bi)
+				s.defInstr = append(s.defInstr, id)
+				s.refs = append(s.refs, d)
+				push(vi, d)
 			}
-			s.instrDefs[id] = ids
+			sp.end = int32(len(s.refs))
 		}
+		bs.term = int32(len(s.refs))
 		if b.Term != nil {
-			uses := b.Term.Uses()
-			tds := s.slice(len(uses))
-			for k, v := range uses {
-				d := top(v)
-				tds[k] = d
-				d.Uses = append(d.Uses, Use{Kind: UseTerm, Block: b})
-			}
-			s.TermUses[b.Index] = tds
-			if _, isRet := b.Term.(*ir.Ret); isRet {
-				snap := s.slice(nvars)
-				for vi, v := range fn.AllVars {
-					snap[vi] = top(v)
-				}
-				s.RetSnapshots[b.Index] = snap
+			buf = ir.AppendTermUses(buf[:0], b.Term)
+			for _, v := range buf {
+				d := cur[fn.VarOrd(v)]
+				s.refs = append(s.refs, d)
+				s.addUse(d, Use{Kind: UseTerm, Block: bi, Site: -1})
 			}
 		}
+		bs.ret = int32(len(s.refs))
+		if _, isRet := b.Term.(*ir.Ret); isRet {
+			s.refs = append(s.refs, cur...)
+		}
+		bs.end = int32(len(s.refs))
 		for _, succ := range b.Succs {
-			pi := predIndex(succ, b)
-			for _, phi := range s.Phis[succ.Index] {
-				d := top(phi.Var)
-				phi.Args[pi] = d
-				d.Uses = append(d.Uses, Use{Kind: UsePhi, Phi: phi, PhiIx: pi, Block: succ})
+			pi := int32(predIndex(succ, b))
+			ss := s.blocks[succ.Index]
+			for p := ss.phiLo; p < ss.phiHi; p++ {
+				d := cur[s.defVar[p]]
+				s.phiArgs[s.phiArgOff[p]+pi] = d
+				s.addUse(d, Use{Kind: UsePhi, Block: int32(succ.Index), Site: nvars + p, Arg: pi})
 			}
-		}
-		for _, c := range s.Dom.Children(b) {
-			walk(c)
-		}
-		for i := len(pushed) - 1; i >= 0; i-- {
-			vi := pushed[i]
-			stacks[vi] = stacks[vi][:len(stacks[vi])-1]
 		}
 	}
-	walk(s.Dom.RPO[0])
+
+	type frame struct {
+		b     *ir.Block
+		mark  int
+		child int
+	}
+	entry := s.Dom.RPO[0]
+	visit(entry)
+	stack := []frame{{b: entry}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if kids := s.Dom.Children(top.b); top.child < len(kids) {
+			c := kids[top.child]
+			top.child++
+			mark := len(log)
+			visit(c)
+			stack = append(stack, frame{b: c, mark: mark})
+			continue
+		}
+		for len(log) > top.mark {
+			sh := log[len(log)-1]
+			cur[sh.vi] = sh.prev
+			log = log[:len(log)-1]
+		}
+		stack = stack[:len(stack)-1]
+	}
 }
 
 func predIndex(b *ir.Block, pred *ir.Block) int {
@@ -409,55 +408,195 @@ func predIndex(b *ir.Block, pred *ir.Block) int {
 	panic("ssa: predecessor not found")
 }
 
-// EntryDef returns the entry definition of v, which the function must
-// track.
-func (s *SSA) EntryDef(v *sem.Var) *Definition {
-	return s.EntryDefs[s.Fn.VarOrd(v)]
+// addUse appends a use record to d's chain.
+func (s *SSA) addUse(d Def, u Use) {
+	ui := int32(len(s.uses))
+	s.uses = append(s.uses, u)
+	s.useNext = append(s.useNext, -1)
+	if t := s.useTail[d]; t < 0 {
+		s.useHead[d] = ui
+	} else {
+		s.useNext[t] = ui
+	}
+	s.useTail[d] = ui
 }
 
-// GlobalAtCall returns the reaching definition of global g just before
-// call, or nil when the function does not track g or the call is not
-// part of this overlay.
-func (s *SSA) GlobalAtCall(call *ir.CallInstr, g *sem.Var) *Definition {
-	id, k := call.InstrID(), s.Fn.GlobalPos(g)
-	if id < 0 || id >= len(s.globalsAtCall) || k < 0 {
+// NumDefs returns the number of definitions; IDs are 0..NumDefs()-1.
+func (s *SSA) NumDefs() int { return int(s.nvars) + len(s.defVar) }
+
+// Kind classifies d.
+func (s *SSA) Kind(d Def) DefKind {
+	switch {
+	case int32(d) < s.nvars:
+		return DefEntry
+	case s.defInstr[int32(d)-s.nvars] < 0:
+		return DefPhi
+	}
+	return DefInstr
+}
+
+// VarOrd returns the AllVars position of d's variable.
+func (s *SSA) VarOrd(d Def) int {
+	if int32(d) < s.nvars {
+		return int(d)
+	}
+	return int(s.defVar[int32(d)-s.nvars])
+}
+
+// Var returns the variable d defines.
+func (s *SSA) Var(d Def) *sem.Var { return s.Fn.AllVars[s.VarOrd(d)] }
+
+// Block returns the block holding d, or nil for an entry definition
+// (conceptually the entry block).
+func (s *SSA) Block(d Def) *ir.Block {
+	if int32(d) < s.nvars {
 		return nil
 	}
-	return s.globalsAtCall[id][k]
+	return s.Fn.Blocks[s.defBlock[int32(d)-s.nvars]]
+}
+
+// InstrID returns the ID of the instruction defining d, or -1 unless d
+// is an instruction definition.
+func (s *SSA) InstrID(d Def) int {
+	if int32(d) < s.nvars {
+		return -1
+	}
+	return int(s.defInstr[int32(d)-s.nvars])
+}
+
+// Instr returns the instruction defining d, or nil unless d is an
+// instruction definition.
+func (s *SSA) Instr(d Def) ir.Instr {
+	id := s.InstrID(d)
+	if id < 0 {
+		return nil
+	}
+	return s.InstrAt(s.defBlock[int32(d)-s.nvars], int32(id))
+}
+
+// InstrAt returns the instruction with ID id, which block blk holds.
+func (s *SSA) InstrAt(blk, id int32) ir.Instr {
+	return s.Fn.Blocks[blk].Instrs[id-s.blocks[blk].first]
+}
+
+// PhiDefs returns the φ definitions at the head of block blk: the IDs
+// lo..hi-1.
+func (s *SSA) PhiDefs(blk int) (lo, hi Def) {
+	bs := s.blocks[blk]
+	return Def(s.nvars + bs.phiLo), Def(s.nvars + bs.phiHi)
+}
+
+// PhiArgs returns φ definition d's arguments, parallel to its block's
+// Preds; NoDef marks a predecessor the renamer never reached.
+func (s *SSA) PhiArgs(d Def) []Def {
+	i := int32(d) - s.nvars
+	return s.phiArgs[s.phiArgOff[i]:s.phiArgOff[i+1]]
+}
+
+// FirstUse returns the first use record on d's chain, or -1.
+func (s *SSA) FirstUse(d Def) int32 { return s.useHead[d] }
+
+// NextUse returns the use record after u on its chain, or -1.
+func (s *SSA) NextUse(u int32) int32 { return s.useNext[u] }
+
+// UseAt returns use record u.
+func (s *SSA) UseAt(u int32) Use { return s.uses[u] }
+
+// HasUses reports whether any use site reads d.
+func (s *SSA) HasUses(d Def) bool { return s.useHead[d] >= 0 }
+
+// UsesOf returns the reaching definitions of in's operands (parallel
+// to in.Uses()), or nil for an instruction outside this overlay.
+func (s *SSA) UsesOf(in ir.Instr) []Def {
+	id := in.InstrID()
+	if id < 0 || id >= len(s.instrs) {
+		return nil
+	}
+	sp := s.instrs[id]
+	return s.refs[sp.uses:sp.globals:sp.globals]
+}
+
+// DefsOf returns the definitions in creates (parallel to in.Defs()),
+// or nil for an instruction outside this overlay.
+func (s *SSA) DefsOf(in ir.Instr) []Def {
+	id := in.InstrID()
+	if id < 0 || id >= len(s.instrs) {
+		return nil
+	}
+	sp := s.instrs[id]
+	return s.refs[sp.defs:sp.end:sp.end]
+}
+
+// TermUses returns the reaching definitions of block blk's terminator
+// operands (parallel to Term.Uses()).
+func (s *SSA) TermUses(blk int) []Def {
+	bs := s.blocks[blk]
+	return s.refs[bs.term:bs.ret:bs.ret]
+}
+
+// RetSnapshot returns, for a reachable block ending in a Ret, the
+// reaching definition of every variable (indexed like Fn.AllVars) at
+// the return point, and nil for any other block. The return-constant
+// extension reads formal and global exit values from it.
+func (s *SSA) RetSnapshot(blk int) []Def {
+	bs := s.blocks[blk]
+	if bs.ret == bs.end {
+		return nil
+	}
+	return s.refs[bs.ret:bs.end:bs.end]
+}
+
+// EntryDef returns the entry definition of v, or NoDef when the
+// function does not track v.
+func (s *SSA) EntryDef(v *sem.Var) Def { return Def(s.Fn.VarOrd(v)) }
+
+// GlobalAtCall returns the reaching definition of global g just before
+// call, or NoDef when the function does not track g or the call is not
+// part of this overlay.
+func (s *SSA) GlobalAtCall(call *ir.CallInstr, g *sem.Var) Def {
+	id, k := call.InstrID(), s.Fn.GlobalPos(g)
+	if id < 0 || id >= len(s.instrs) || k < 0 {
+		return NoDef
+	}
+	sp := s.instrs[id]
+	if int(sp.globals)+k >= int(sp.defs) {
+		return NoDef
+	}
+	return s.refs[int(sp.globals)+k]
+}
+
+// DefString names d for dumps and diagnostics: variable@ID.
+func (s *SSA) DefString(d Def) string {
+	if d == NoDef {
+		return "?"
+	}
+	return s.Var(d).String() + "@" + strconv.Itoa(int(d))
 }
 
 // Dump renders the SSA overlay for debugging.
 func (s *SSA) Dump() string {
 	var b strings.Builder
 	b.WriteString("ssa " + s.Fn.Proc.Name + ":\n")
+	names := func(ds []Def, sep string) string {
+		parts := make([]string, len(ds))
+		for i, d := range ds {
+			parts[i] = s.DefString(d)
+		}
+		return strings.Join(parts, sep)
+	}
 	for _, blk := range s.Dom.RPO {
 		b.WriteString(blk.String() + ":\n")
-		for _, phi := range s.Phis[blk.Index] {
-			args := make([]string, len(phi.Args))
-			for i, a := range phi.Args {
-				if a == nil {
-					args[i] = "?"
-				} else {
-					args[i] = a.String()
-				}
-			}
-			b.WriteString("  " + phi.Def.String() + " = phi(" + strings.Join(args, ", ") + ")\n")
+		lo, hi := s.PhiDefs(blk.Index)
+		for d := lo; d < hi; d++ {
+			b.WriteString("  " + s.DefString(d) + " = phi(" + names(s.PhiArgs(d), ", ") + ")\n")
 		}
 		for _, in := range blk.Instrs {
 			b.WriteString("  " + in.String())
 			if uds := s.UsesOf(in); len(uds) > 0 {
-				parts := make([]string, len(uds))
-				for i, d := range uds {
-					parts[i] = d.String()
-				}
-				b.WriteString(" ; uses " + strings.Join(parts, ","))
+				b.WriteString(" ; uses " + names(uds, ","))
 			}
 			if ids := s.DefsOf(in); len(ids) > 0 {
-				parts := make([]string, len(ids))
-				for i, d := range ids {
-					parts[i] = d.String()
-				}
-				b.WriteString(" ; defs " + strings.Join(parts, ","))
+				b.WriteString(" ; defs " + names(ids, ","))
 			}
 			b.WriteByte('\n')
 		}

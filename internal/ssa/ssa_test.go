@@ -28,23 +28,19 @@ proc main() {
 	join := iff.Then.Term.(*ir.Jump).Target
 	x := testutil.VarByName(t, f, "x")
 
-	var xphi *ssa.Phi
-	for _, phi := range s.Phis[join.Index] {
-		if phi.Var == x {
-			xphi = phi
-		}
-	}
-	if xphi == nil {
+	xphi := phiOf(s, join, x)
+	if xphi == ssa.NoDef {
 		t.Fatalf("no phi for x at join:\n%s", s.Dump())
 	}
-	if len(xphi.Args) != 2 {
-		t.Fatalf("phi args: %d", len(xphi.Args))
+	args := s.PhiArgs(xphi)
+	if len(args) != 2 {
+		t.Fatalf("phi args: %d", len(args))
 	}
-	for i, a := range xphi.Args {
-		if a == nil {
-			t.Errorf("phi arg %d nil", i)
-		} else if a.Kind != ssa.DefInstr {
-			t.Errorf("phi arg %d kind %v", i, a.Kind)
+	for i, a := range args {
+		if a == ssa.NoDef {
+			t.Errorf("phi arg %d missing", i)
+		} else if s.Kind(a) != ssa.DefInstr {
+			t.Errorf("phi arg %d kind %v", i, s.Kind(a))
 		}
 	}
 	// The print uses the phi def.
@@ -58,7 +54,7 @@ proc main() {
 		t.Fatalf("no print in join block")
 	}
 	ud := s.UsesOf(print)
-	if len(ud) != 1 || ud[0] != xphi.Def {
+	if len(ud) != 1 || ud[0] != xphi {
 		t.Errorf("print does not use the phi: %v", ud)
 	}
 }
@@ -75,8 +71,8 @@ proc main() { call f(1, 2.0) }`)
 	s := ssa.Build(f)
 	for _, v := range f.AllVars {
 		d := s.EntryDef(v)
-		if d == nil || d.Kind != ssa.DefEntry || d.Var != v {
-			t.Errorf("bad entry def for %s: %+v", v, d)
+		if d == ssa.NoDef || s.Kind(d) != ssa.DefEntry || s.Var(d) != v {
+			t.Errorf("bad entry def for %s: %v", v, d)
 		}
 	}
 	// The print of 'a' with no prior assignment uses the entry def.
@@ -107,26 +103,21 @@ proc main() {
 	s := ssa.Build(f)
 	header := f.Entry().Term.(*ir.Jump).Target
 	x := testutil.VarByName(t, f, "x")
-	var xphi *ssa.Phi
-	for _, phi := range s.Phis[header.Index] {
-		if phi.Var == x {
-			xphi = phi
-		}
-	}
-	if xphi == nil {
+	xphi := phiOf(s, header, x)
+	if xphi == ssa.NoDef {
 		t.Fatalf("no loop phi for x:\n%s", s.Dump())
 	}
 	// One arg is the initial const def, the other the decrement.
 	kinds := map[ssa.DefKind]int{}
-	for _, a := range xphi.Args {
-		kinds[a.Kind]++
+	for _, a := range s.PhiArgs(xphi) {
+		kinds[s.Kind(a)]++
 	}
 	if kinds[ssa.DefInstr] != 2 {
 		t.Errorf("phi args kinds: %v\n%s", kinds, s.Dump())
 	}
 	// The loop condition uses the phi.
 	condUse := s.UsesOf(header.Instrs[len(header.Instrs)-1])
-	if condUse[0] != xphi.Def {
+	if condUse[0] != xphi {
 		t.Errorf("condition does not use loop phi")
 	}
 }
@@ -167,7 +158,7 @@ proc f(a int) {
 	}
 	ud := s.UsesOf(print)
 	for i, d := range ud {
-		if d.Kind != ssa.DefInstr || d.Instr != call {
+		if s.Kind(d) != ssa.DefInstr || s.Instr(d) != call {
 			t.Errorf("print use %d: %v, want def from call", i, d)
 		}
 	}
@@ -195,12 +186,12 @@ proc f() {
 	g := testutil.VarByName(t, f, "g")
 	h := testutil.VarByName(t, f, "h")
 	gd := s.GlobalAtCall(call, g)
-	if gd.Kind != ssa.DefInstr {
-		t.Errorf("g at call should be the assignment def, got %v", gd.Kind)
+	if s.Kind(gd) != ssa.DefInstr {
+		t.Errorf("g at call should be the assignment def, got %v", s.Kind(gd))
 	}
 	hd := s.GlobalAtCall(call, h)
-	if hd.Kind != ssa.DefEntry {
-		t.Errorf("h at call should be entry def, got %v", hd.Kind)
+	if s.Kind(hd) != ssa.DefEntry {
+		t.Errorf("h at call should be entry def, got %v", s.Kind(hd))
 	}
 }
 
@@ -216,16 +207,46 @@ proc main() {
 	s := ssa.Build(f)
 	x := testutil.VarByName(t, f, "x")
 	// x's const def has two uses from the binary instruction.
-	var constDef *ssa.Definition
-	for _, d := range s.Defs {
-		if d.Var == x && d.Kind == ssa.DefInstr {
+	constDef := ssa.NoDef
+	for d := ssa.Def(0); int(d) < s.NumDefs(); d++ {
+		if s.Var(d) == x && s.Kind(d) == ssa.DefInstr {
 			constDef = d
 		}
 	}
-	if constDef == nil {
+	if constDef == ssa.NoDef {
 		t.Fatal("no instr def for x")
 	}
-	if len(constDef.Uses) != 2 {
-		t.Errorf("x def uses: %d, want 2", len(constDef.Uses))
+	if n := len(usesOf(s, constDef)); n != 2 {
+		t.Errorf("x def uses: %d, want 2", n)
 	}
+}
+
+// phiOf returns the φ for v at the head of b, or NoDef.
+func phiOf(s *ssa.SSA, b *ir.Block, v *sem.Var) ssa.Def {
+	lo, hi := s.PhiDefs(b.Index)
+	for d := lo; d < hi; d++ {
+		if s.Var(d) == v {
+			return d
+		}
+	}
+	return ssa.NoDef
+}
+
+// usesOf collects d's use records in chain order.
+func usesOf(s *ssa.SSA, d ssa.Def) []ssa.Use {
+	var out []ssa.Use
+	for u := s.FirstUse(d); u >= 0; u = s.NextUse(u) {
+		out = append(out, s.UseAt(u))
+	}
+	return out
+}
+
+// instrUse reports whether d's chain holds a use by instruction id.
+func instrUse(s *ssa.SSA, d ssa.Def, id int) bool {
+	for _, u := range usesOf(s, d) {
+		if u.Kind == ssa.UseInstr && int(u.Site) == id {
+			return true
+		}
+	}
+	return false
 }

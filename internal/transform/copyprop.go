@@ -33,43 +33,38 @@ func (st *optState) copyPropFunc(i int) PassReport {
 	// instruction ID for same-block ordering (block-order numbering is
 	// current: ssa.Build numbers, and the fold pass preserves IDs), or
 	// -1 for a terminator use (which follows every instruction).
-	step := func(d *ssa.Definition, b *ir.Block, pos int) *ssa.Definition {
-		if d.Kind != ssa.DefInstr {
-			return nil
-		}
-		cp, ok := d.Instr.(*ir.CopyInstr)
+	step := func(d ssa.Def, b *ir.Block, pos int) ssa.Def {
+		cp, ok := s.Instr(d).(*ir.CopyInstr)
 		if !ok {
-			return nil
+			return ssa.NoDef
 		}
 		src := s.UsesOf(cp)[0]
-		switch src.Kind {
+		switch s.Kind(src) {
 		case ssa.DefEntry:
 			if nd[fn.VarOrd(cp.Src)] != 0 {
-				return nil
+				return ssa.NoDef
 			}
 			return src
 		case ssa.DefInstr:
 			if nd[fn.VarOrd(cp.Src)] != 1 {
-				return nil
+				return ssa.NoDef
 			}
-			if src.Block == b {
-				if pos >= 0 && src.Instr.InstrID() >= pos {
-					return nil
+			if srcBlock := s.Block(src); srcBlock == b {
+				if pos >= 0 && s.InstrID(src) >= pos {
+					return ssa.NoDef
 				}
-				return src
-			}
-			if !s.Dom.Dominates(src.Block, b) {
-				return nil
+			} else if !s.Dom.Dominates(srcBlock, b) {
+				return ssa.NoDef
 			}
 			return src
 		}
-		return nil
+		return ssa.NoDef
 	}
-	follow := func(d *ssa.Definition, b *ir.Block, pos int) (*ssa.Definition, bool) {
+	follow := func(d ssa.Def, b *ir.Block, pos int) (ssa.Def, bool) {
 		moved := false
 		for {
 			next := step(d, b, pos)
-			if next == nil {
+			if next == ssa.NoDef {
 				return d, moved
 			}
 			d = next
@@ -90,7 +85,7 @@ func (st *optState) copyPropFunc(i int) PassReport {
 				}
 			}
 		}
-		tds := s.TermUses[b.Index]
+		tds := s.TermUses(b.Index)
 		for k := range tds {
 			if nd2, moved := follow(tds[k], b, -1); moved {
 				s.ReplaceTermOperand(b, k, nd2)

@@ -77,5 +77,5 @@ func deadStore(s *ssa.SSA, in ir.Instr) bool {
 		return false
 	}
 	defs := s.DefsOf(in)
-	return len(defs) == 1 && len(defs[0].Uses) == 0
+	return len(defs) == 1 && !s.HasUses(defs[0])
 }

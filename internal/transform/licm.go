@@ -27,7 +27,8 @@ import (
 //     still sees c.
 //
 // Moves preserve the CFG, so the overlay stays valid; only the
-// instruction numbering is redone (ssa.RenumberInstrs).
+// instruction numbering, and with it the moved definitions' blocks, is
+// redone (ssa.RenumberInstrs).
 func (st *optState) licmFunc(i int) PassReport {
 	pr := PassReport{Pass: PassLICM}
 	s := st.overlay(i)
@@ -64,7 +65,7 @@ func (st *optState) licmFunc(i int) PassReport {
 					if nd[vi] != 1 {
 						continue
 					}
-					if entryReachesRealUse(s, s.EntryDefs[vi]) {
+					if entryReachesRealUse(s, ssa.Def(vi)) {
 						continue
 					}
 					moves = append(moves, hoist{lb, c})
@@ -73,7 +74,6 @@ func (st *optState) licmFunc(i int) PassReport {
 			for _, m := range moves {
 				removeInstr(m.block, m.instr)
 				pre.Instrs = append(pre.Instrs, m.instr)
-				s.DefsOf(m.instr)[0].Block = pre
 				pr.HoistedConsts++
 			}
 			for _, lb := range loop {
@@ -121,20 +121,20 @@ func isLocalish(v *sem.Var) bool {
 
 // entryReachesRealUse reports whether d (an entry definition) flows to
 // any instruction or terminator use, following φ chains.
-func entryReachesRealUse(s *ssa.SSA, d *ssa.Definition) bool {
-	seen := make(map[*ssa.Definition]bool)
-	var walk func(d *ssa.Definition) bool
-	walk = func(d *ssa.Definition) bool {
+func entryReachesRealUse(s *ssa.SSA, d ssa.Def) bool {
+	seen := make(map[ssa.Def]bool)
+	var walk func(d ssa.Def) bool
+	walk = func(d ssa.Def) bool {
 		if seen[d] {
 			return false
 		}
 		seen[d] = true
-		for _, u := range d.Uses {
-			switch u.Kind {
+		for u := s.FirstUse(d); u >= 0; u = s.NextUse(u) {
+			switch use := s.UseAt(u); use.Kind {
 			case ssa.UseInstr, ssa.UseTerm:
 				return true
 			case ssa.UsePhi:
-				if walk(u.Phi.Def) {
+				if walk(ssa.Def(use.Site)) {
 					return true
 				}
 			}

@@ -210,12 +210,9 @@ func (st *optState) shardFn(name string) func(i int) PassReport {
 // store's value at every program point the store dominates, φs or not.
 func defCounts(s *ssa.SSA) []int {
 	nd := make([]int, len(s.Fn.AllVars))
-	for _, d := range s.Defs {
-		if d.Kind == ssa.DefEntry || d.Kind == ssa.DefPhi {
-			continue
-		}
-		if vi := s.Fn.VarOrd(d.Var); vi >= 0 {
-			nd[vi]++
+	for d := ssa.Def(0); int(d) < s.NumDefs(); d++ {
+		if s.Kind(d) == ssa.DefInstr {
+			nd[s.VarOrd(d)]++
 		}
 	}
 	return nd

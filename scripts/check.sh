@@ -65,11 +65,11 @@ go test -race -count=1 \
     ./internal/serve
 go test -race -count=1 ./cmd/fsicpd
 
-echo "== spill/delta-skip determinism (race) =="
-# The analysis-phase fast paths — spill-aware environments and
-# delta-propagation skips — must be invisible in the output: all 7
-# methods on the 2k corpus, workers 1/2/4/8, with the spill threshold
-# forced to 0 and with skipping forced off, race-enabled.
+echo "== delta-skip and repeated-run determinism (race) =="
+# The analysis-phase fast paths — delta-propagation skips and pooled
+# per-run scratch — must be invisible in the output: all 7 methods on
+# the 2k corpus, workers 1/2/4/8, with skipping forced off and on a
+# repeated run, race-enabled.
 go test -race -count=1 -run 'TestSpillAndDeltaSkipDeterminism' .
 
 echo "== large-corpus smoke =="
