@@ -284,53 +284,46 @@ type ClobberInstr struct {
 	Why string
 }
 
-func (i *ConstInstr) Defs() []*sem.Var  { return []*sem.Var{i.Dst} }
-func (i *CopyInstr) Defs() []*sem.Var   { return []*sem.Var{i.Dst} }
-func (i *UnaryInstr) Defs() []*sem.Var  { return []*sem.Var{i.Dst} }
-func (i *BinaryInstr) Defs() []*sem.Var { return []*sem.Var{i.Dst} }
-func (i *ReadInstr) Defs() []*sem.Var   { return []*sem.Var{i.Dst} }
-func (i *PrintInstr) Defs() []*sem.Var  { return nil }
-func (i *CallInstr) Defs() []*sem.Var {
-	var out []*sem.Var
-	if i.Dst != nil {
-		out = append(out, i.Dst)
-	}
-	return append(out, i.MayDef...)
-}
+// The fixed-arity Uses and Defs methods allocate through AppendUses and
+// AppendDefs, which hold each kind's one operand and definition list.
+// CallInstr.Uses and ClobberInstr.Defs return the instruction's own
+// slice.
+func (i *ConstInstr) Defs() []*sem.Var   { return AppendDefs(nil, i) }
+func (i *CopyInstr) Defs() []*sem.Var    { return AppendDefs(nil, i) }
+func (i *UnaryInstr) Defs() []*sem.Var   { return AppendDefs(nil, i) }
+func (i *BinaryInstr) Defs() []*sem.Var  { return AppendDefs(nil, i) }
+func (i *ReadInstr) Defs() []*sem.Var    { return AppendDefs(nil, i) }
+func (i *PrintInstr) Defs() []*sem.Var   { return nil }
+func (i *CallInstr) Defs() []*sem.Var    { return AppendDefs(nil, i) }
 func (i *ClobberInstr) Defs() []*sem.Var { return i.Vars }
 
-func (i *ConstInstr) Uses() []*sem.Var  { return nil }
-func (i *CopyInstr) Uses() []*sem.Var   { return []*sem.Var{i.Src} }
-func (i *UnaryInstr) Uses() []*sem.Var  { return []*sem.Var{i.X} }
-func (i *BinaryInstr) Uses() []*sem.Var { return []*sem.Var{i.X, i.Y} }
-func (i *ReadInstr) Uses() []*sem.Var   { return nil }
-func (i *PrintInstr) Uses() []*sem.Var {
-	var out []*sem.Var
-	for _, a := range i.Args {
-		if a.Var != nil {
-			out = append(out, a.Var)
-		}
-	}
-	return out
-}
+func (i *ConstInstr) Uses() []*sem.Var   { return nil }
+func (i *CopyInstr) Uses() []*sem.Var    { return AppendUses(nil, i) }
+func (i *UnaryInstr) Uses() []*sem.Var   { return AppendUses(nil, i) }
+func (i *BinaryInstr) Uses() []*sem.Var  { return AppendUses(nil, i) }
+func (i *ReadInstr) Uses() []*sem.Var    { return nil }
+func (i *PrintInstr) Uses() []*sem.Var   { return AppendUses(nil, i) }
 func (i *CallInstr) Uses() []*sem.Var    { return i.Args }
 func (i *ClobberInstr) Uses() []*sem.Var { return nil }
 
-// AppendUses appends in.Uses() to dst. Uses allocates a fresh slice
-// for most instruction kinds; loops that visit every operand of a
-// function (SSA construction) reuse one buffer through this instead.
+// AppendUses appends in.Uses() to dst without allocating a slice of its
+// own; loops that visit every operand of a function (SSA construction)
+// reuse one buffer through it.
 func AppendUses(dst []*sem.Var, in Instr) []*sem.Var {
 	switch in := in.(type) {
-	case *ConstInstr, *ReadInstr, *ClobberInstr:
-		return dst
 	case *CopyInstr:
 		return append(dst, in.Src)
 	case *UnaryInstr:
 		return append(dst, in.X)
 	case *BinaryInstr:
 		return append(dst, in.X, in.Y)
-	case *CallInstr:
-		return append(dst, in.Args...)
+	case *PrintInstr:
+		for _, a := range in.Args {
+			if a.Var != nil {
+				dst = append(dst, a.Var)
+			}
+		}
+		return dst
 	}
 	return append(dst, in.Uses()...)
 }
@@ -429,19 +422,12 @@ func (*If) termNode()   {}
 func (*Ret) termNode()  {}
 
 func (t *Jump) Uses() []*sem.Var { return nil }
-func (t *If) Uses() []*sem.Var   { return []*sem.Var{t.Cond} }
-func (t *Ret) Uses() []*sem.Var {
-	if t.Val != nil {
-		return []*sem.Var{t.Val}
-	}
-	return nil
-}
+func (t *If) Uses() []*sem.Var   { return AppendTermUses(nil, t) }
+func (t *Ret) Uses() []*sem.Var  { return AppendTermUses(nil, t) }
 
 // AppendTermUses appends t.Uses() to dst; see AppendUses.
 func AppendTermUses(dst []*sem.Var, t Terminator) []*sem.Var {
 	switch t := t.(type) {
-	case *Jump:
-		return dst
 	case *If:
 		return append(dst, t.Cond)
 	case *Ret:

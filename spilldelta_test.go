@@ -44,19 +44,13 @@ func cfgName(cfg fsicp.Config) string {
 
 // TestSpillAndDeltaSkipDeterminism compares, on the 2k-procedure
 // corpus, the baseline report (delta skipping on, one worker) against
-// the skip-free path (FSICP_NO_DELTA_SKIP forces every fixpoint round
-// and refresh visit to re-evaluate) and a repeated run, each at
-// workers 1, 2, 4, and 8. Any divergence means a fast path is changing
-// answers, not just time. Meant to run under -race (scripts/check.sh
-// has a dedicated stage); it skips under -short to stay out of the
-// quick suite.
-//
-// The spill0 and jump subtests once forced lattice.DenseEnv's sparse
-// overflow segment; entry environments are now sized by the callee's
-// tracked globals and have no such segment. The subtests keep their
-// names and check the nearest remaining property: a repeated analysis
-// of the same loaded program, whose pooled SCC scratch and result
-// buffers come back warm, reproduces the first report.
+// the default skip-on path (the spill0/workers=N subtests) and the
+// skip-free path (noskip/workers=N: FSICP_NO_DELTA_SKIP forces every
+// fixpoint round and refresh visit to re-evaluate), each at workers 1,
+// 2, 4, and 8. Any divergence means a fast path is changing answers,
+// not just time. Meant to run under -race (scripts/check.sh has a
+// dedicated stage); it skips under -short to stay out of the quick
+// suite.
 func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2k-procedure corpus × 7 methods × 4 worker counts; skipped with -short")
@@ -94,7 +88,11 @@ func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 	}
 
 	// The jump-function baselines have no worker fan-out and no
-	// fixpoint skips; a repeated run must reproduce the first.
+	// fixpoint skips, but their intraprocedural scc.Run calls draw
+	// scratch from the same pool; after the matrix above has warmed it
+	// on this corpus, a repeated run must reproduce the first.
+	// TestPooledScratchDeterminism covers the warm pool for the
+	// flow-sensitive method only.
 	for _, kind := range []fsicp.JumpFunctionKind{fsicp.Literal, fsicp.IntraConstant, fsicp.PassThrough, fsicp.Polynomial} {
 		kind := kind
 		t.Run("jump/"+kind.String(), func(t *testing.T) {
